@@ -76,8 +76,7 @@ fn usage() -> ! {
 }
 
 fn parse_cli() -> Cli {
-    let results_dir = PathBuf::from(env_or("MCS_RESULTS_DIR", "results"));
-    let mut opts = TrendOptions::new(results_dir.clone(), PathBuf::new());
+    let mut opts = TrendOptions::new(mcs_bench::results_dir(), PathBuf::new());
     let mut history_dir: Option<PathBuf> = std::env::var("MCS_TREND_DIR").ok().map(PathBuf::from);
     let mut report_path: Option<PathBuf> = None;
     opts.leg = env_or("MCS_TREND_LEG", "local");

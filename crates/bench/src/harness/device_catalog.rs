@@ -26,8 +26,21 @@ use mcs_device::native::{shape_of, TransportKind};
 use mcs_device::symmetric::SymmetricModel;
 use mcs_device::MachineSpec;
 
-use super::{vprintln, Artifact};
-use crate::{header_with_scale, scaled_by, time_it};
+use super::{
+    check, holds, vprintln, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table, Value,
+};
+use crate::{scaled_by, time_it};
+
+/// Registry entry.
+pub const HARNESS: Harness = Harness {
+    name: "device",
+    title: "BENCH device: calibrated device catalog — modeled rates, smr leg, hetero determinism",
+    tables: &["BENCH_device"],
+    run: |scale, verbose| {
+        let r = run(scale, verbose);
+        HarnessRun::new(score(&r), vec![r.table])
+    },
+};
 
 /// The heterogeneous rank mix exercised by the determinism leg and the
 /// symmetric-balance comparison.
@@ -70,8 +83,8 @@ pub struct DeviceCatalogResult {
     /// Balanced / original aggregate rate for the [`HETERO_MIX`]
     /// symmetric job (Table III generalized to the catalog).
     pub balanced_gain: f64,
-    /// The `BENCH_device` CSV.
-    pub artifact: Artifact,
+    /// The `BENCH_device` table.
+    pub table: Table,
 }
 
 impl DeviceCatalogResult {
@@ -143,50 +156,68 @@ fn device_row(model: &'static str, dev: &DeviceSpec, rate: f64, host_rate: f64) 
     }
 }
 
-fn csv_row(r: &DeviceRow) -> Vec<String> {
+/// Modeled rates, calibration bands, legacy bit-identity, heterogeneous
+/// determinism.
+pub fn score(r: &DeviceCatalogResult) -> Vec<CheckOutcome> {
+    let (calibrated, in_band) = r.calibration_counts();
     vec![
-        r.model.to_string(),
-        r.id.to_string(),
-        r.class.to_string(),
-        r.transport.to_string(),
-        format!("{:.1}", r.rate),
-        format!("{:.4}", r.alpha_vs_host),
-        // Two decimals keeps these columns byte-stable across ISA legs
-        // (pure analytic arithmetic, no transport branches involved).
-        r.calibration_ratio
-            .map(|c| format!("{c:.2}"))
-            .unwrap_or_else(|| "-".into()),
-        r.within_band
-            .map(|b| if b { "yes" } else { "no" }.to_string())
-            .unwrap_or_else(|| "-".into()),
+        check(
+            "DC.rates_positive",
+            "every modeled device rate on both legs is finite and positive",
+            holds(r.rates_positive()),
+            Band::Holds,
+        ),
+        check(
+            "DC.calibrated_entries",
+            "the catalog carries at least three entries calibrated vs published rates",
+            calibrated as f64,
+            Band::AtLeast(3.0),
+        ),
+        check(
+            "DC.calibration_band",
+            "every calibrated entry's modeled rate lands inside its documented band",
+            holds(calibrated == in_band),
+            Band::Holds,
+        ),
+        check(
+            "DC.legacy_exact",
+            "host-e5-2687w/knc-7120a price kernels bit-identically to the MachineSpec oracles",
+            holds(r.legacy_exact),
+            Band::Holds,
+        ),
+        check(
+            "DC.alpha_host_knc",
+            "reference-workload host/KNC alpha stays in the paper's plateau band",
+            r.alpha_host_knc(),
+            Band::Range { lo: 0.5, hi: 0.8 },
+        ),
+        check(
+            "DC.gpu_ordering",
+            "every GPU-class entry outrates every legacy device on the reference workload",
+            holds(r.gpus_outrate_legacy()),
+            Band::Holds,
+        ),
+        check(
+            "DC.hetero_bitwise",
+            "heterogeneous device ranks reproduce the serial run bit-identically",
+            holds(r.hetero_bitwise),
+            Band::Holds,
+        ),
+        check(
+            "DC.balanced_gain",
+            "alpha-balancing the hetero mix never loses aggregate rate",
+            r.balanced_gain,
+            Band::AtLeast(1.0),
+        ),
     ]
 }
 
 /// Run the device-catalog sweep at `scale`.
 pub fn run(scale: f64, verbose: bool) -> DeviceCatalogResult {
-    if verbose {
-        header_with_scale(
-            "BENCH device",
-            "calibrated device catalog: modeled rates, smr leg, hetero determinism",
-            scale,
-        );
-    }
     let devices = catalog::all();
     let host = catalog::device(mcs_core::engine::DEFAULT_DEVICE).expect("default host");
 
     // Leg 1: reference workload, every entry under its default transport.
-    vprintln!(
-        verbose,
-        "\n{:>10} {:>14} {:>11} {:>8} {:>12} {:>8} {:>6} {:>5}",
-        "model",
-        "device",
-        "class",
-        "mode",
-        "rate(n/s)",
-        "alpha",
-        "calib",
-        "band"
-    );
     let host_ref_rate = host.modeled_native_rate(host.default_transport());
     let mut rows = Vec::new();
     for dev in &devices {
@@ -224,24 +255,6 @@ pub fn run(scale: f64, verbose: bool) -> DeviceCatalogResult {
             .native(dev.default_transport())
             .calc_rate(&shape, &tallies);
         rows.push(device_row("smr", dev, rate, smr_host_rate));
-    }
-    for r in &rows {
-        vprintln!(
-            verbose,
-            "{:>10} {:>14} {:>11} {:>8} {:>12.0} {:>8.3} {:>6} {:>5}",
-            r.model,
-            r.id,
-            r.class,
-            r.transport,
-            r.rate,
-            r.alpha_vs_host,
-            r.calibration_ratio
-                .map(|c| format!("{c:.2}"))
-                .unwrap_or_else(|| "-".into()),
-            r.within_band
-                .map(|b| if b { "yes" } else { "no" }.to_string())
-                .unwrap_or_else(|| "-".into()),
-        );
     }
     vprintln!(
         verbose,
@@ -316,26 +329,117 @@ pub fn run(scale: f64, verbose: bool) -> DeviceCatalogResult {
         balanced_gain
     );
 
-    let csv_rows = rows.iter().map(csv_row).collect();
+    // Modeled rates: reference rows are analytic, smr rows price
+    // deterministic transport counts that a scalar-leg FP contraction can
+    // perturb well under 1%. The calibration columns are pure analytic
+    // arithmetic; two decimals keep them byte-stable across ISA legs.
+    let mut table = Table::new(
+        "BENCH_device",
+        vec![
+            Column::key("model"),
+            Column::key("device"),
+            Column::exact("class", Fmt::Plain),
+            Column::key("transport"),
+            Column::modeled("rate_modeled_n_per_s", 0.02, Fmt::Fixed(1)).trended(),
+            Column::modeled("alpha_vs_host", 0.02, Fmt::Fixed(4)),
+            Column::exact("calibration_ratio", Fmt::Fixed(2)),
+            Column::exact("in_band", Fmt::Plain),
+        ],
+    )
+    .trended("device");
+    for r in &rows {
+        table.push(vec![
+            r.model.into(),
+            r.id.into(),
+            r.class.into(),
+            r.transport.into(),
+            r.rate.into(),
+            r.alpha_vs_host.into(),
+            r.calibration_ratio.map_or(Value::from("-"), Value::from),
+            match r.within_band {
+                Some(true) => "yes",
+                Some(false) => "no",
+                None => "-",
+            }
+            .into(),
+        ]);
+    }
     DeviceCatalogResult {
         rows,
         smr_measured_host_rate,
         hetero_bitwise,
         legacy_exact,
         balanced_gain,
-        artifact: Artifact {
-            name: "BENCH_device",
-            columns: vec![
-                "model",
-                "device",
-                "class",
-                "transport",
-                "rate_modeled_n_per_s",
-                "alpha_vs_host",
-                "calibration_ratio",
-                "in_band",
-            ],
-            rows: csv_rows,
-        },
+        table,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn intact_device_passes_and_perturbed_device_fails() {
+        // One real reduced-scale catalog sweep, then targeted
+        // perturbations of the typed result — the exit-flip
+        // demonstration for every DC gate.
+        let good = run(0.05, false);
+        let before = score(&good);
+        assert!(before.iter().all(|c| c.passed), "{before:?}");
+
+        let fails = |r: &DeviceCatalogResult, id: &str| {
+            let out = score(r);
+            assert!(
+                !out.iter().find(|c| c.id == id).unwrap().passed,
+                "{id} should fail after perturbation"
+            );
+        };
+        let mut r = good.clone();
+        r.rows[0].rate = -1.0;
+        fails(&r, "DC.rates_positive");
+
+        let mut r = good.clone();
+        for row in &mut r.rows {
+            row.within_band = None;
+        }
+        fails(&r, "DC.calibrated_entries");
+
+        let mut r = good.clone();
+        r.rows
+            .iter_mut()
+            .find(|x| x.within_band.is_some())
+            .unwrap()
+            .within_band = Some(false);
+        fails(&r, "DC.calibration_band");
+
+        let mut r = good.clone();
+        r.legacy_exact = false;
+        fails(&r, "DC.legacy_exact");
+
+        // Drift the KNC alpha out of the paper's plateau.
+        let mut r = good.clone();
+        r.rows
+            .iter_mut()
+            .find(|x| x.model == "reference" && x.id == "knc-7120a")
+            .unwrap()
+            .alpha_vs_host = 0.3;
+        fails(&r, "DC.alpha_host_knc");
+
+        // A GPU falling below the KNL projection breaks the ordering.
+        let mut r = good.clone();
+        r.rows
+            .iter_mut()
+            .find(|x| x.model == "reference" && x.id == "a100")
+            .unwrap()
+            .rate = 10_000.0;
+        fails(&r, "DC.gpu_ordering");
+
+        let mut r = good.clone();
+        r.hetero_bitwise = false;
+        fails(&r, "DC.hetero_bitwise");
+
+        let mut r = good;
+        r.balanced_gain = 0.8;
+        fails(&r, "DC.balanced_gain");
     }
 }

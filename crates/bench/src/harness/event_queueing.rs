@@ -28,8 +28,23 @@ use mcs_core::problem::Problem;
 use mcs_core::{QueueingConfig, QueueingMode};
 use mcs_xs::GridBackendKind;
 
-use super::{vprintln, Artifact};
-use crate::{header_with_scale, scaled_by, time_it};
+use super::{check, holds, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table};
+use crate::{scaled_by, time_it};
+
+/// Registry entry.
+pub const HARNESS: Harness = Harness {
+    name: "event_queueing",
+    title: "BENCH event_queueing: Stage-2 particle queueing ablation for the event pipeline",
+    tables: &["BENCH_event_queueing"],
+    run: |scale, verbose| {
+        let r = run(scale, verbose);
+        let invariants = score(&r);
+        HarnessRun {
+            counters: r.counters,
+            ..HarnessRun::new(invariants, vec![r.table])
+        }
+    },
+};
 
 /// One backend × queueing-mode × bank-size sample.
 #[derive(Debug, Clone)]
@@ -63,8 +78,8 @@ pub struct EventQueueingResult {
     /// largest bank (the configuration the tentpole optimizes), as
     /// exported by `XsContext::export_counters`.
     pub counters: Vec<(String, u64)>,
-    /// The `BENCH_event_queueing` CSV.
-    pub artifact: Artifact,
+    /// The `BENCH_event_queueing` table.
+    pub table: Table,
 }
 
 impl EventQueueingResult {
@@ -147,34 +162,55 @@ fn sample(problem: &Problem, mode: QueueingMode, bank: usize) -> EventQueueingRo
     }
 }
 
+/// Bitwise-equivalence across queueing modes, and the warm-start
+/// scan-locality payoff on the hash-binned backend.
+pub fn score(r: &EventQueueingResult) -> Vec<CheckOutcome> {
+    vec![
+        check(
+            "EQ.k_bitwise",
+            "per-batch k-eff is bit-identical across every queueing mode and backend",
+            holds(r.k_bits_identical()),
+            Band::Holds,
+        ),
+        check(
+            "EQ.hash_scan_locality",
+            "hash-grid scan steps per lookup: material+energy over material (< 1 = payoff)",
+            r.hash_scan_ratio(),
+            Band::AtMost(0.95),
+        ),
+        check(
+            "EQ.rates_positive",
+            "every backend x mode x bank sample produced a positive particle rate",
+            holds(r.rates_positive()),
+            Band::Holds,
+        ),
+    ]
+}
+
 /// Run the backend × mode × bank-size sweep at `scale`.
 pub fn run(scale: f64, verbose: bool) -> EventQueueingResult {
-    if verbose {
-        header_with_scale(
-            "BENCH event_queueing",
-            "Stage-2 particle queueing ablation for the event pipeline",
-            scale,
-        );
-    }
     let banks = [
         scaled_by(2_000, scale).max(400),
         scaled_by(10_000, scale).max(800),
     ];
 
-    vprintln!(
-        verbose,
-        "{:>10} {:>16} {:>8} {:>12} {:>10} {:>10} {:>12} {:>10}",
-        "backend",
-        "mode",
-        "bank",
-        "particles/s",
-        "lookups",
-        "scan",
-        "span bytes",
-        "pairs"
-    );
     let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
+    let mut table = Table::new(
+        "BENCH_event_queueing",
+        vec![
+            Column::key("backend"),
+            Column::key("mode"),
+            Column::key("bank_size").prefixed("b"),
+            Column::measured("particles_measured_per_s", Fmt::Fixed(1)).trended(),
+            Column::counter("lookups").trended(),
+            Column::counter("bin_scan_steps").trended(),
+            Column::counter("gather_span_bytes").trended(),
+            Column::counter("gather_span_pairs").trended(),
+            // A deterministic float reduction.
+            Column::modeled("k_track", 1e-9, Fmt::Sci(9)),
+        ],
+    )
+    .trended("eq");
     let mut counters: Vec<(String, u64)> = Vec::new();
     for &kind in GridBackendKind::ALL.iter() {
         // One problem per backend: the context cache hands back shared
@@ -192,28 +228,16 @@ pub fn run(scale: f64, verbose: bool) -> EventQueueingResult {
                     problem.xs.export_counters(&mut c);
                     counters = c.iter().map(|(k, v)| (k.to_string(), v)).collect();
                 }
-                vprintln!(
-                    verbose,
-                    "{:>10} {:>16} {:>8} {:>12.0} {:>10} {:>10} {:>12} {:>10}",
-                    row.backend.name(),
-                    row.mode.name(),
-                    row.bank,
-                    row.particles_per_s,
-                    row.lookups,
-                    row.bin_scan_steps,
-                    row.gather_span_bytes,
-                    row.gather_span_pairs
-                );
-                csv_rows.push(vec![
-                    row.backend.name().to_string(),
-                    row.mode.name().to_string(),
-                    row.bank.to_string(),
-                    format!("{:.1}", row.particles_per_s),
-                    row.lookups.to_string(),
-                    row.bin_scan_steps.to_string(),
-                    row.gather_span_bytes.to_string(),
-                    row.gather_span_pairs.to_string(),
-                    format!("{:.9e}", f64::from_bits(row.k_bits)),
+                table.push(vec![
+                    row.backend.name().into(),
+                    row.mode.name().into(),
+                    row.bank.into(),
+                    row.particles_per_s.into(),
+                    row.lookups.into(),
+                    row.bin_scan_steps.into(),
+                    row.gather_span_bytes.into(),
+                    row.gather_span_pairs.into(),
+                    f64::from_bits(row.k_bits).into(),
                 ]);
                 rows.push(row);
             }
@@ -223,21 +247,7 @@ pub fn run(scale: f64, verbose: bool) -> EventQueueingResult {
     let result = EventQueueingResult {
         rows,
         counters,
-        artifact: Artifact {
-            name: "BENCH_event_queueing",
-            columns: vec![
-                "backend",
-                "mode",
-                "bank_size",
-                "particles_measured_per_s",
-                "lookups",
-                "bin_scan_steps",
-                "gather_span_bytes",
-                "gather_span_pairs",
-                "k_track",
-            ],
-            rows: csv_rows,
-        },
+        table,
     };
     if verbose {
         println!(

@@ -6,8 +6,18 @@
 
 use mcs_xs::nuclide::{Nuclide, NuclideSpec};
 
-use super::{vprintln, Artifact};
-use crate::header_with_scale;
+use super::{check, vprintln, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table};
+
+/// Registry entry.
+pub const HARNESS: Harness = Harness {
+    name: "fig1",
+    title: "Fig. 1: U-238 total cross section vs energy (synthetic SLBW)",
+    tables: &["fig1_u238_total_xs"],
+    run: |scale, verbose| {
+        let r = run(scale, verbose);
+        HarnessRun::new(score(&r), vec![r.table])
+    },
+};
 
 /// Typed result of the Fig. 1 harness.
 #[derive(Debug, Clone)]
@@ -26,20 +36,31 @@ pub struct Fig1Result {
     pub peak_to_smooth: f64,
     /// Labeled probe samples `(label, energy MeV, σ_t barns)`.
     pub samples: Vec<(&'static str, f64, f64)>,
-    /// The `fig1_u238_total_xs` CSV series.
-    pub artifact: Artifact,
+    /// The `fig1_u238_total_xs` series.
+    pub table: Table,
+}
+
+/// Fig. 1 — U-238 total cross section: 1/v rise and resonance forest.
+pub fn score(r: &Fig1Result) -> Vec<CheckOutcome> {
+    vec![
+        check(
+            "F1.peak_to_smooth",
+            "resonance forest: tallest peak / smooth fast range > 20x",
+            r.peak_to_smooth,
+            Band::AtLeast(20.0),
+        ),
+        check(
+            "F1.one_over_v",
+            "1/v rise: sigma at the cold end / sigma at 1 MeV",
+            r.sigma_cold / r.sigma_fast,
+            Band::AtLeast(1.5),
+        ),
+    ]
 }
 
 /// Regenerate the Fig. 1 data series. The workload is a fixed synthetic
-/// library build, so `scale` only appears in the header.
-pub fn run(scale: f64, verbose: bool) -> Fig1Result {
-    if verbose {
-        header_with_scale(
-            "Fig. 1",
-            "U-238 total cross section vs energy (synthetic SLBW)",
-            scale,
-        );
-    }
+/// library build, so `_scale` is unused.
+pub fn run(_scale: f64, verbose: bool) -> Fig1Result {
     let u238 = Nuclide::synthesize(&NuclideSpec::heavy("U238", 236.01, false, 92_238));
 
     vprintln!(
@@ -49,18 +70,17 @@ pub fn run(scale: f64, verbose: bool) -> Fig1Result {
         u238.resonances.len()
     );
 
-    // CSV of the full pointwise series.
-    let rows: Vec<Vec<String>> = u238
-        .energy
-        .iter()
-        .zip(&u238.total)
-        .map(|(&e, &t)| vec![format!("{e:.6e}"), format!("{t:.6e}")])
-        .collect();
-    let artifact = Artifact {
-        name: "fig1_u238_total_xs",
-        columns: vec!["energy_mev", "sigma_total_barns"],
-        rows,
-    };
+    // The full pointwise series.
+    let mut table = Table::new(
+        "fig1_u238_total_xs",
+        vec![
+            Column::modeled("energy_mev", 1e-9, Fmt::Sci(6)),
+            Column::modeled("sigma_total_barns", 1e-6, Fmt::Sci(6)),
+        ],
+    );
+    for (&e, &t) in u238.energy.iter().zip(&u238.total) {
+        table.push(vec![e.into(), t.into()]);
+    }
 
     // Console summary: the figure's qualitative features.
     let at = |e: f64| u238.micro_at(e).total;
@@ -100,6 +120,37 @@ pub fn run(scale: f64, verbose: bool) -> Fig1Result {
         peak,
         peak_to_smooth: peak / smooth,
         samples,
-        artifact,
+        table,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn intact_fig1_passes_and_perturbed_fig1_fails() {
+        let mut r = run(0.05, false);
+        let before = score(&r);
+        assert!(before.iter().all(|c| c.passed), "{before:?}");
+
+        // Deliberately break the resonance-forest claim: this is the
+        // non-zero-exit demonstration the CI gate relies on.
+        r.peak_to_smooth = 3.0;
+        let after = score(&r);
+        let broken = after.iter().find(|c| c.id == "F1.peak_to_smooth").unwrap();
+        assert!(!broken.passed);
+
+        let mut outcome = HarnessRun {
+            invariants: after,
+            ..Default::default()
+        };
+        assert_eq!(
+            outcome.failures().count(),
+            1,
+            "a violated invariant must fail the run"
+        );
+        outcome.invariants = before;
+        assert_eq!(outcome.failures().count(), 0);
     }
 }

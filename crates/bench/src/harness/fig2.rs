@@ -17,8 +17,21 @@ use mcs_device::native::shape_of;
 use mcs_device::workload::{xs_lookup_banked, xs_lookup_scalar};
 use mcs_xs::MacroXs;
 
-use super::{vprintln, Artifact};
-use crate::{fmt_secs, header_with_scale, log_energies, scaled_by, time_it};
+use super::{
+    check, check_warn, vprintln, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table,
+};
+use crate::{fmt_secs, log_energies, scaled_by, time_it};
+
+/// Registry entry.
+pub const HARNESS: Harness = Harness {
+    name: "fig2",
+    title: "Fig. 2: XS lookup rates, banking vs history methods (H.M. Large)",
+    tables: &["fig2_lookup_rates"],
+    run: |scale, verbose| {
+        let r = run(scale, verbose);
+        HarnessRun::new(score(&r, crate::host_threads()), vec![r.table])
+    },
+};
 
 /// One bank-size row of Fig. 2.
 #[derive(Debug, Clone, Copy)]
@@ -50,8 +63,8 @@ impl Fig2Row {
 pub struct Fig2Result {
     /// Rows by ascending bank size.
     pub rows: Vec<Fig2Row>,
-    /// The `fig2_lookup_rates` CSV.
-    pub artifact: Artifact,
+    /// The `fig2_lookup_rates` table.
+    pub table: Table,
 }
 
 impl Fig2Result {
@@ -61,15 +74,53 @@ impl Fig2Result {
     }
 }
 
+/// Fig. 2 — banked/MIC vs history/E5 lookup rates.
+///
+/// `host_threads` is the runner's core count: on a single-core host the
+/// measured banked/history kernel ratio is dominated by scheduling noise
+/// (the banked kernel's only structural advantage is SIMD lane
+/// occupancy, which a 1-thread timeshared runner cannot resolve), so
+/// `F2.banked_ge_history_host` is scored on the warn band there —
+/// reported, never gating. The same host condition drives the trend
+/// gate's rate metrics ([`crate::trend::rate_gate_warn_only`]), so
+/// check and trend always agree on which hosts can gate on timing.
+/// See EXPERIMENTS.md ("Fig. 2" notes).
+pub fn score(r: &Fig2Result, host_threads: usize) -> Vec<CheckOutcome> {
+    let big = r.largest();
+    let worst_checksum = r
+        .rows
+        .iter()
+        .map(|row| row.checksum_rel_err)
+        .fold(0.0, f64::max);
+    let host_ratio = if crate::trend::rate_gate_warn_only(host_threads) {
+        check_warn
+    } else {
+        check
+    };
+    vec![
+        check(
+            "F2.mic_over_e5",
+            "banked on MIC over history on E5-2687W at the largest bank (paper: ~10x)",
+            big.mic_over_e5(),
+            Band::Range { lo: 8.0, hi: 12.0 },
+        ),
+        host_ratio(
+            "F2.banked_ge_history_host",
+            "banked kernel at least matches the history kernel on this host",
+            big.banked_host / big.history_host,
+            Band::AtLeast(0.95),
+        ),
+        check(
+            "F2.checksum",
+            "scalar and SIMD lookup kernels agree (worst relative error)",
+            worst_checksum,
+            Band::AtMost(1e-10),
+        ),
+    ]
+}
+
 /// Run the Fig. 2 lookup-rate sweep at `scale`.
 pub fn run(scale: f64, verbose: bool) -> Fig2Result {
-    if verbose {
-        header_with_scale(
-            "Fig. 2",
-            "XS lookup rates: banking vs history methods (H.M. Large)",
-            scale,
-        );
-    }
     // S(α,β)/URR removed, as in the paper's micro-benchmark (§III-A1).
     let cfg = ProblemConfig {
         enable_sab: false,
@@ -89,18 +140,17 @@ pub fn run(scale: f64, verbose: bool) -> Fig2Result {
     let mic = catalog::machine("knc-7120a");
     let e5 = catalog::machine("host-e5-2687w");
 
-    vprintln!(
-        verbose,
-        "{:>10} {:>15} {:>15} {:>15} {:>15} {:>9}",
-        "bank size",
-        "hist/host meas",
-        "hist/E5 model",
-        "bank/host meas",
-        "bank/MIC model",
-        "MIC/E5"
-    );
     let mut out_rows = Vec::new();
-    let mut csv_rows = Vec::new();
+    let mut table = Table::new(
+        "fig2_lookup_rates",
+        vec![
+            Column::key("bank_size"),
+            Column::measured("history_host_measured_per_s", Fmt::Fixed(1)),
+            Column::modeled("history_e5_modeled_per_s", 0.02, Fmt::Fixed(1)),
+            Column::measured("banked_host_measured_per_s", Fmt::Fixed(1)),
+            Column::modeled("banked_mic_modeled_per_s", 0.02, Fmt::Fixed(1)),
+        ],
+    );
     for &n in &[1_000usize, 3_000, 10_000, 30_000, 100_000, 300_000] {
         let n = scaled_by(n, scale);
         let energies = log_energies(n, 0xF162);
@@ -145,41 +195,22 @@ pub fn run(scale: f64, verbose: bool) -> Fig2Result {
             banked_mic: n as f64 / t_mic,
             checksum_rel_err,
         };
-        vprintln!(
-            verbose,
-            "{:>10} {:>15.0} {:>15.0} {:>15.0} {:>15.0} {:>8.1}x",
-            row.bank,
-            row.history_host,
-            row.history_e5,
-            row.banked_host,
-            row.banked_mic,
-            row.mic_over_e5()
-        );
-        csv_rows.push(vec![
-            row.bank.to_string(),
-            format!("{:.1}", row.history_host),
-            format!("{:.1}", row.history_e5),
-            format!("{:.1}", row.banked_host),
-            format!("{:.1}", row.banked_mic),
+        table.push(vec![
+            row.bank.into(),
+            row.history_host.into(),
+            row.history_e5.into(),
+            row.banked_host.into(),
+            row.banked_mic.into(),
         ]);
         out_rows.push(row);
     }
     vprintln!(
         verbose,
-        "\npaper shape: banked/MIC ≈ 10× history/CPU (MIC/E5 column) at large banks"
+        "\nbanked/MIC over history/E5 at the largest bank: {:.1}x (paper: ~10x)",
+        out_rows.last().map_or(0.0, Fig2Row::mic_over_e5)
     );
     Fig2Result {
         rows: out_rows,
-        artifact: Artifact {
-            name: "fig2_lookup_rates",
-            columns: vec![
-                "bank_size",
-                "history_host_measured_per_s",
-                "history_e5_modeled_per_s",
-                "banked_host_measured_per_s",
-                "banked_mic_modeled_per_s",
-            ],
-            rows: csv_rows,
-        },
+        table,
     }
 }

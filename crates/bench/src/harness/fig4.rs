@@ -14,8 +14,19 @@ use mcs_device::catalog;
 use mcs_device::native::{shape_of, NativeModel, TransportKind};
 use mcs_prof::{Profile, ThreadProfiler};
 
-use super::{vprintln, Artifact};
-use crate::{fmt_secs, header_with_scale, scaled_by};
+use super::{check, holds, vprintln, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table};
+use crate::scaled_by;
+
+/// Registry entry.
+pub const HARNESS: Harness = Harness {
+    name: "fig4",
+    title: "Fig. 4: profile comparison, host CPU vs MIC native (H.M. Large)",
+    tables: &["fig4_profile_compare"],
+    run: |scale, verbose| {
+        let r = run(scale, verbose);
+        HarnessRun::new(score(&r), vec![r.table])
+    },
+};
 
 /// Typed result of the Fig. 4 harness.
 #[derive(Debug, Clone)]
@@ -31,8 +42,8 @@ pub struct Fig4Result {
     pub total_cpu: f64,
     /// MODELED total time on the Phi 7120A.
     pub total_mic: f64,
-    /// The `fig4_profile_compare` CSV.
-    pub artifact: Artifact,
+    /// The `fig4_profile_compare` table.
+    pub table: Table,
 }
 
 impl Fig4Result {
@@ -42,15 +53,33 @@ impl Fig4Result {
     }
 }
 
+/// Fig. 4 — per-routine profile comparison.
+pub fn score(r: &Fig4Result) -> Vec<CheckOutcome> {
+    let bottleneck_tops = r.modeled[0].1 >= r.modeled[1].1 && r.modeled[0].1 >= r.modeled[2].1;
+    vec![
+        check(
+            "F4.bottleneck_is_xs",
+            "calculate_xs tops the modeled CPU profile",
+            holds(bottleneck_tops),
+            Band::Holds,
+        ),
+        check(
+            "F4.mic_wins_bottleneck",
+            "the MIC beats the CPU on the bottleneck routine",
+            r.modeled[0].1 / r.modeled[0].2,
+            Band::AtLeast(1.0),
+        ),
+        check(
+            "F4.total_speedup",
+            "total MIC/CPU speedup (paper: 96 min / 65 min = 1.48x)",
+            r.speedup(),
+            Band::Range { lo: 1.2, hi: 2.2 },
+        ),
+    ]
+}
+
 /// Run the Fig. 4 instrumented comparison at `scale`.
 pub fn run(scale: f64, verbose: bool) -> Fig4Result {
-    if verbose {
-        header_with_scale(
-            "Fig. 4",
-            "profile comparison: host CPU vs MIC native (H.M. Large)",
-            scale,
-        );
-    }
     let problem = Problem::hm(HmModel::Large, &ProblemConfig::default());
     let n = scaled_by(2_000, scale);
     let sources = problem.sample_initial_source(n, 0);
@@ -85,58 +114,30 @@ pub fn run(scale: f64, verbose: bool) -> Fig4Result {
     let host_prof = host_model.profile_breakdown(&shape, &out.tallies);
     let mic_prof = mic_model.profile_breakdown(&shape, &out.tallies);
 
-    vprintln!(
-        verbose,
-        "MODELED per-routine comparison (E5-2687W vs Phi 7120A):\n"
+    // MODELED per-routine comparison (E5-2687W vs Phi 7120A).
+    let mut table = Table::new(
+        "fig4_profile_compare",
+        vec![
+            Column::key("routine"),
+            Column::modeled("cpu_s", 0.02, Fmt::Fixed(6)),
+            Column::modeled("mic_s", 0.02, Fmt::Fixed(6)),
+        ],
     );
-    vprintln!(
-        verbose,
-        "{:<28} {:>14} {:>14} {:>8}",
-        "routine",
-        "CPU",
-        "MIC",
-        "MIC/CPU"
-    );
-    let mut rows = Vec::new();
     let mut modeled = Vec::new();
     let mut tot_cpu = 0.0;
     let mut tot_mic = 0.0;
     for ((name, t_cpu), (_, t_mic)) in host_prof.iter().zip(mic_prof.iter()) {
-        vprintln!(
-            verbose,
-            "{:<28} {:>14} {:>14} {:>8.2}",
-            name,
-            fmt_secs(*t_cpu),
-            fmt_secs(*t_mic),
-            t_mic / t_cpu
-        );
-        rows.push(vec![
-            name.clone(),
-            format!("{t_cpu:.6}"),
-            format!("{t_mic:.6}"),
-        ]);
+        table.push(vec![name.as_str().into(), (*t_cpu).into(), (*t_mic).into()]);
         modeled.push((name.clone(), *t_cpu, *t_mic));
         tot_cpu += t_cpu;
         tot_mic += t_mic;
     }
-    vprintln!(
-        verbose,
-        "{:<28} {:>14} {:>14} {:>8.2}",
-        "TOTAL",
-        fmt_secs(tot_cpu),
-        fmt_secs(tot_mic),
-        tot_mic / tot_cpu
-    );
+    table.push(vec!["TOTAL".into(), tot_cpu.into(), tot_mic.into()]);
     vprintln!(
         verbose,
         "\nCPU/MIC total speedup: {:.2}x  (paper: 96 min / 65 min = 1.48x)",
         tot_cpu / tot_mic
     );
-    rows.push(vec![
-        "TOTAL".into(),
-        format!("{tot_cpu:.6}"),
-        format!("{tot_mic:.6}"),
-    ]);
 
     Fig4Result {
         histories: n,
@@ -144,10 +145,6 @@ pub fn run(scale: f64, verbose: bool) -> Fig4Result {
         modeled,
         total_cpu: tot_cpu,
         total_mic: tot_mic,
-        artifact: Artifact {
-            name: "fig4_profile_compare",
-            columns: vec!["routine", "cpu_s", "mic_s"],
-            rows,
-        },
+        table,
     }
 }

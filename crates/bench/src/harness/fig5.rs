@@ -13,8 +13,19 @@ use mcs_core::problem::{HmModel, Problem, ProblemConfig};
 use mcs_device::catalog;
 use mcs_device::native::{shape_of, NativeModel, TransportKind};
 
-use super::{vprintln, Artifact};
-use crate::{header_with_scale, scaled_by};
+use super::{check, vprintln, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table};
+use crate::scaled_by;
+
+/// Registry entry.
+pub const HARNESS: Harness = Harness {
+    name: "fig5",
+    title: "Fig. 5: calculation rate vs batch size, CPU vs MIC (H.M. Large)",
+    tables: &["fig5_calc_rates"],
+    run: |scale, verbose| {
+        let r = run(scale, verbose);
+        HarnessRun::new(score(&r), vec![r.table])
+    },
+};
 
 /// One (particle count, batch kind) row of Fig. 5.
 #[derive(Debug, Clone)]
@@ -44,8 +55,8 @@ pub struct Fig5Result {
     pub k_std: f64,
     /// Measured mean active-batch rate on this host (n/s).
     pub measured_rate: f64,
-    /// The `fig5_calc_rates` CSV.
-    pub artifact: Artifact,
+    /// The `fig5_calc_rates` table.
+    pub table: Table,
 }
 
 impl Fig5Result {
@@ -64,15 +75,33 @@ impl Fig5Result {
     }
 }
 
+/// Fig. 5 — calculation rates and the alpha ratio.
+pub fn score(r: &Fig5Result) -> Vec<CheckOutcome> {
+    let (small, large) = r.cpu_rate_extremes();
+    vec![
+        check(
+            "F5.mean_alpha",
+            "large-batch alpha = CPU rate / MIC rate (paper: 0.61-0.67)",
+            r.mean_alpha,
+            Band::Range { lo: 0.5, hi: 0.8 },
+        ),
+        check(
+            "F5.small_batch_collapse",
+            "rates collapse at small batches: smallest/largest CPU rate",
+            small / large,
+            Band::AtMost(0.5),
+        ),
+        check(
+            "F5.k_near_critical",
+            "measured eigenvalue run is near criticality (paper: k = 1.005)",
+            r.k_mean,
+            Band::Range { lo: 0.9, hi: 1.1 },
+        ),
+    ]
+}
+
 /// Run the Fig. 5 rate sweep plus a real eigenvalue run at `scale`.
 pub fn run(scale: f64, verbose: bool) -> Fig5Result {
-    if verbose {
-        header_with_scale(
-            "Fig. 5",
-            "calculation rate vs batch size, CPU vs MIC (H.M. Large)",
-            scale,
-        );
-    }
     let problem = Problem::hm(HmModel::Large, &ProblemConfig::default());
     let shape = shape_of(&problem);
     let host = NativeModel::new(
@@ -81,17 +110,17 @@ pub fn run(scale: f64, verbose: bool) -> Fig5Result {
     );
     let mic = NativeModel::new(catalog::machine("knc-7120a"), TransportKind::HistoryScalar);
 
-    vprintln!(
-        verbose,
-        "\n{:>10} {:>8} {:>14} {:>14} {:>8}",
-        "particles",
-        "batch",
-        "CPU (n/s)",
-        "MIC (n/s)",
-        "alpha"
-    );
     let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
+    let mut table = Table::new(
+        "fig5_calc_rates",
+        vec![
+            Column::key("particles"),
+            Column::key("batch_kind"),
+            Column::modeled("cpu_rate", 0.02, Fmt::Fixed(0)),
+            Column::modeled("mic_rate", 0.02, Fmt::Fixed(0)),
+            Column::modeled("alpha", 0.02, Fmt::Fixed(4)),
+        ],
+    );
     let mut alphas = Vec::new();
     // α is quoted at the figure's plateau; with the sweep scaled down the
     // plateau threshold scales with it.
@@ -116,21 +145,12 @@ pub fn run(scale: f64, verbose: bool) -> Fig5Result {
             if n >= alpha_threshold {
                 alphas.push(alpha);
             }
-            vprintln!(
-                verbose,
-                "{:>10} {:>8} {:>14.0} {:>14.0} {:>8.3}",
-                n,
-                label,
-                r_cpu,
-                r_mic,
-                alpha
-            );
-            csv_rows.push(vec![
-                n.to_string(),
-                label.to_string(),
-                format!("{r_cpu:.0}"),
-                format!("{r_mic:.0}"),
-                format!("{alpha:.4}"),
+            table.push(vec![
+                n.into(),
+                label.into(),
+                r_cpu.into(),
+                r_mic.into(),
+                alpha.into(),
             ]);
             rows.push(Fig5Row {
                 particles: n,
@@ -176,10 +196,6 @@ pub fn run(scale: f64, verbose: bool) -> Fig5Result {
         k_mean: result.k_mean,
         k_std: result.k_std,
         measured_rate: result.mean_rate(true),
-        artifact: Artifact {
-            name: "fig5_calc_rates",
-            columns: vec!["particles", "batch_kind", "cpu_rate", "mic_rate", "alpha"],
-            rows: csv_rows,
-        },
+        table,
     }
 }

@@ -15,8 +15,19 @@ use mcs_core::problem::{HmModel, Problem, ProblemConfig};
 use mcs_device::catalog;
 use mcs_device::native::{shape_of, NativeModel, TransportKind};
 
-use super::{vprintln, Artifact};
-use crate::{header_with_scale, scaled_by};
+use super::{check, vprintln, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table};
+use crate::scaled_by;
+
+/// Registry entry.
+pub const HARNESS: Harness = Harness {
+    name: "fig6",
+    title: "Fig. 6: strong scaling, H.M. Large, N = 1e7, Stampede model",
+    tables: &["fig6_strong_scaling"],
+    run: |scale, verbose| {
+        let r = run(scale, verbose);
+        HarnessRun::new(score(&r), vec![r.table])
+    },
+};
 
 /// One scaling curve of Fig. 6.
 #[derive(Debug, Clone)]
@@ -43,8 +54,8 @@ pub struct Fig6Result {
     pub r_mic: f64,
     /// The three curves in figure order.
     pub curves: Vec<Fig6Curve>,
-    /// The `fig6_strong_scaling` CSV.
-    pub artifact: Artifact,
+    /// The `fig6_strong_scaling` table.
+    pub table: Table,
 }
 
 impl Fig6Result {
@@ -57,7 +68,9 @@ impl Fig6Result {
     }
 }
 
-fn stampede_rates(scale: f64) -> (f64, f64) {
+/// Stampede CPU and MIC rank rates (n/s): the Stampede-clocked machine
+/// models priced on a real measured probe batch (shared with Fig. 7).
+pub(super) fn stampede_rates(scale: f64) -> (f64, f64) {
     let problem = Problem::hm(HmModel::Large, &ProblemConfig::default());
     let shape = shape_of(&problem);
     let n_probe = scaled_by(2_000, scale);
@@ -80,16 +93,45 @@ fn stampede_rates(scale: f64) -> (f64, f64) {
     (cpu.calc_rate(&shape, &t), mic.calc_rate(&shape, &t))
 }
 
+/// The columns Fig. 6 and Fig. 7 share: one scaling point per row.
+pub(super) fn scaling_columns() -> Vec<Column> {
+    vec![
+        Column::key("nodes"),
+        Column::modeled("batch_time_s", 0.02, Fmt::Fixed(4)),
+        Column::modeled("rate", 0.02, Fmt::Fixed(0)),
+        Column::modeled("efficiency", 0.02, Fmt::Fixed(4)),
+    ]
+}
+
+/// Fig. 6 — strong scaling on Stampede.
+pub fn score(r: &Fig6Result) -> Vec<CheckOutcome> {
+    let one_mic = r.curve("CPU + 1 MIC");
+    let cpu_only = r.curve("CPU only");
+    vec![
+        check(
+            "F6.eff_128",
+            "CPU + 1 MIC efficiency at 128 nodes (paper: ~95%)",
+            one_mic.at(128).map(|p| p.efficiency).unwrap_or(0.0),
+            Band::AtLeast(0.93),
+        ),
+        check(
+            "F6.tail_1024",
+            "CPU + 1 MIC efficiency sags by 1024 nodes (the Fig. 6 tail)",
+            one_mic.at(1024).map(|p| p.efficiency).unwrap_or(1.0),
+            Band::AtMost(0.85),
+        ),
+        check(
+            "F6.cpu_only_flat",
+            "CPU-only curve stays flat out to 1024 nodes",
+            cpu_only.at(1024).map(|p| p.efficiency).unwrap_or(0.0),
+            Band::AtLeast(0.95),
+        ),
+    ]
+}
+
 /// Run the Fig. 6 strong-scaling study at `scale` (the scale sets the
 /// measured probe batch; node counts and N = 10⁷ are the paper's).
 pub fn run(scale: f64, verbose: bool) -> Fig6Result {
-    if verbose {
-        header_with_scale(
-            "Fig. 6",
-            "strong scaling, H.M. Large, N = 1e7, Stampede model",
-            scale,
-        );
-    }
     let (r_cpu, r_mic) = stampede_rates(scale);
     vprintln!(
         verbose,
@@ -118,48 +160,28 @@ pub fn run(scale: f64, verbose: bool) -> Fig6Result {
         ),
     ];
 
-    let mut rows = Vec::new();
+    let mut columns = vec![Column::key("curve")];
+    columns.extend(scaling_columns());
+    let mut table = Table::new("fig6_strong_scaling", columns);
     let mut curves = Vec::new();
     for (label, node, counts) in &curves_spec {
-        vprintln!(verbose, "--- {label} ---");
-        vprintln!(
-            verbose,
-            "{:>8} {:>14} {:>16} {:>12}",
-            "nodes",
-            "batch time (s)",
-            "rate (n/s)",
-            "efficiency"
-        );
-        let pts = strong_scaling(node, counts, n_total, &comm);
-        for p in &pts {
-            vprintln!(
-                verbose,
-                "{:>8} {:>14.3} {:>16.0} {:>11.1}%",
-                p.nodes,
-                p.batch_time,
-                p.rate,
-                p.efficiency * 100.0
-            );
-            rows.push(vec![
-                label.to_string(),
-                p.nodes.to_string(),
-                format!("{:.4}", p.batch_time),
-                format!("{:.0}", p.rate),
-                format!("{:.4}", p.efficiency),
+        let points = strong_scaling(node, counts, n_total, &comm);
+        for p in &points {
+            table.push(vec![
+                (*label).into(),
+                p.nodes.into(),
+                p.batch_time.into(),
+                p.rate.into(),
+                p.efficiency.into(),
             ]);
         }
-        vprintln!(verbose);
-        curves.push(Fig6Curve { label, points: pts });
+        curves.push(Fig6Curve { label, points });
     }
 
     Fig6Result {
         r_cpu,
         r_mic,
         curves,
-        artifact: Artifact {
-            name: "fig6_strong_scaling",
-            columns: vec!["curve", "nodes", "batch_time_s", "rate", "efficiency"],
-            rows,
-        },
+        table,
     }
 }

@@ -5,14 +5,20 @@
 //! paper's footnoted claim) the curve stays flat out to 2¹⁰ nodes.
 
 use mcs_cluster::{min_efficiency, weak_scaling, CommModel, NodeSpec, ScalingPoint};
-use mcs_core::engine::{transport_batch, BatchRequest, Threaded};
-use mcs_core::history::batch_streams;
-use mcs_core::problem::{HmModel, Problem, ProblemConfig};
-use mcs_device::catalog;
-use mcs_device::native::{shape_of, NativeModel, TransportKind};
 
-use super::{vprintln, Artifact};
-use crate::{header_with_scale, scaled_by};
+use super::fig6::{scaling_columns, stampede_rates};
+use super::{check, vprintln, Band, CheckOutcome, Harness, HarnessRun, Table};
+
+/// Registry entry.
+pub const HARNESS: Harness = Harness {
+    name: "fig7",
+    title: "Fig. 7: weak scaling, H.M. Large, N = 1e6 per node, Stampede model",
+    tables: &["fig7_weak_scaling"],
+    run: |scale, verbose| {
+        let r = run(scale, verbose);
+        HarnessRun::new(score(&r), vec![r.table])
+    },
+};
 
 /// Typed result of the Fig. 7 harness.
 #[derive(Debug, Clone)]
@@ -23,8 +29,8 @@ pub struct Fig7Result {
     pub r_mic: f64,
     /// Weak-scaling points by ascending node count (1 → 1,024).
     pub points: Vec<ScalingPoint>,
-    /// The `fig7_weak_scaling` CSV.
-    pub artifact: Artifact,
+    /// The `fig7_weak_scaling` table.
+    pub table: Table,
 }
 
 impl Fig7Result {
@@ -34,38 +40,20 @@ impl Fig7Result {
     }
 }
 
+/// Fig. 7 — weak scaling.
+pub fn score(r: &Fig7Result) -> Vec<CheckOutcome> {
+    vec![check(
+        "F7.min_efficiency",
+        "weak-scaling efficiency at every node count up to 2^10 (paper: >94%)",
+        r.min_efficiency(),
+        Band::AtLeast(0.94),
+    )]
+}
+
 /// Run the Fig. 7 weak-scaling study at `scale`.
 pub fn run(scale: f64, verbose: bool) -> Fig7Result {
-    if verbose {
-        header_with_scale(
-            "Fig. 7",
-            "weak scaling, H.M. Large, N = 1e6 per node, Stampede model",
-            scale,
-        );
-    }
-
     // Rank rates from a real measured run (same procedure as Fig. 6).
-    let problem = Problem::hm(HmModel::Large, &ProblemConfig::default());
-    let shape = shape_of(&problem);
-    let n_probe = scaled_by(2_000, scale);
-    let sources = problem.sample_initial_source(n_probe, 0);
-    let streams = batch_streams(problem.seed, 0, n_probe);
-    let out = transport_batch(
-        &problem,
-        &sources,
-        &streams,
-        &BatchRequest::default(),
-        &mut Threaded::ambient(),
-    )
-    .outcome;
-    let t = out.tallies.scaled_to(100_000);
-    let r_cpu = NativeModel::new(
-        catalog::machine("host-e5-2680"),
-        TransportKind::HistoryScalar,
-    )
-    .calc_rate(&shape, &t);
-    let r_mic = NativeModel::new(catalog::machine("knc-se10p"), TransportKind::HistoryScalar)
-        .calc_rate(&shape, &t);
+    let (r_cpu, r_mic) = stampede_rates(scale);
     vprintln!(
         verbose,
         "\nrank rates: CPU {:.0} n/s, MIC {:.0} n/s\n",
@@ -76,42 +64,22 @@ pub fn run(scale: f64, verbose: bool) -> Fig7Result {
     let comm = CommModel::fdr_infiniband();
     let node = NodeSpec::with_one_mic(r_cpu, r_mic);
     let counts = [1usize, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
-    let pts = weak_scaling(&node, &counts, 1_000_000, &comm);
+    let points = weak_scaling(&node, &counts, 1_000_000, &comm);
 
-    vprintln!(
-        verbose,
-        "{:>8} {:>14} {:>16} {:>12}",
-        "nodes",
-        "batch time (s)",
-        "rate (n/s)",
-        "efficiency"
-    );
-    let mut rows = Vec::new();
-    for p in &pts {
-        vprintln!(
-            verbose,
-            "{:>8} {:>14.3} {:>16.0} {:>11.1}%",
-            p.nodes,
-            p.batch_time,
-            p.rate,
-            p.efficiency * 100.0
-        );
-        rows.push(vec![
-            p.nodes.to_string(),
-            format!("{:.4}", p.batch_time),
-            format!("{:.0}", p.rate),
-            format!("{:.4}", p.efficiency),
+    let mut table = Table::new("fig7_weak_scaling", scaling_columns());
+    for p in &points {
+        table.push(vec![
+            p.nodes.into(),
+            p.batch_time.into(),
+            p.rate.into(),
+            p.efficiency.into(),
         ]);
     }
 
     Fig7Result {
         r_cpu,
         r_mic,
-        points: pts,
-        artifact: Artifact {
-            name: "fig7_weak_scaling",
-            columns: vec!["nodes", "batch_time_s", "rate", "efficiency"],
-            rows,
-        },
+        points,
+        table,
     }
 }

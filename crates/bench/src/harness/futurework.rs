@@ -19,8 +19,19 @@ use mcs_device::catalog;
 use mcs_device::native::{shape_of, NativeModel, TransportKind};
 use mcs_device::power::batch_energy;
 
-use super::{vprintln, Artifact};
-use crate::{header_with_scale, scaled_by};
+use super::{check, holds, vprintln, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table};
+use crate::scaled_by;
+
+/// Registry entry.
+pub const HARNESS: Harness = Harness {
+    name: "futurework",
+    title: "§V: future-work projections — adaptive alpha, KNL, energy",
+    tables: &["futurework_adaptive", "futurework_energy"],
+    run: |scale, verbose| {
+        let r = run(scale, verbose);
+        HarnessRun::new(score(&r), r.tables)
+    },
+};
 
 /// One energy-analysis row.
 #[derive(Debug, Clone)]
@@ -54,20 +65,41 @@ pub struct FutureworkResult {
     pub adaptive_gain: f64,
     /// Energy rows for the Table III hardware combinations.
     pub energy: Vec<EnergyRow>,
-    /// The `futurework_adaptive` and `futurework_energy` CSVs.
-    pub artifacts: Vec<Artifact>,
+    /// The `futurework_adaptive` and `futurework_energy` tables.
+    pub tables: Vec<Table>,
+}
+
+/// §V — future-work projections.
+pub fn score(r: &FutureworkResult) -> Vec<CheckOutcome> {
+    let mic_only = r
+        .energy
+        .iter()
+        .find(|m| m.label.contains("MIC only"))
+        .map_or(f64::INFINITY, |m| m.neutrons_per_joule);
+    vec![
+        check(
+            "FW.adaptive_gain",
+            "adaptive alpha beats the static Eq.-3 split in the knee regime",
+            r.adaptive_gain,
+            Band::AtLeast(1.001),
+        ),
+        check(
+            "FW.knl_over_knc",
+            "projected KNL clearly outruns the KNC",
+            r.r_knl / r.r_mic,
+            Band::AtLeast(1.5),
+        ),
+        check(
+            "FW.energy_mic_wins",
+            "MIC-only is the most energy-efficient configuration (n/J)",
+            holds(r.energy.iter().all(|e| e.neutrons_per_joule <= mic_only)),
+            Band::Holds,
+        ),
+    ]
 }
 
 /// Run the §V projections at `scale`.
 pub fn run(scale: f64, verbose: bool) -> FutureworkResult {
-    if verbose {
-        header_with_scale(
-            "§V",
-            "future-work projections: adaptive alpha, KNL, energy",
-            scale,
-        );
-    }
-
     // Measured per-particle structure at production batch size.
     let problem = Problem::hm(HmModel::Large, &ProblemConfig::default());
     let shape = shape_of(&problem);
@@ -101,31 +133,19 @@ pub fn run(scale: f64, verbose: bool) -> FutureworkResult {
     let n_small = 9_800;
     let static_wall = static_alpha_wall(&ranks, n_small);
     let walls = simulate_adaptive(&ranks, n_small, 6);
-    vprintln!(
-        verbose,
-        "  static Eq.-3 split batch time: {:.4} s",
-        static_wall
-    );
-    for (i, w) in walls.iter().enumerate() {
-        vprintln!(verbose, "  adaptive batch {i}: {w:.4} s");
-    }
     let gain = static_wall / walls.last().unwrap();
     vprintln!(verbose, "  converged adaptive vs static: {gain:.3}x");
-    let adaptive_artifact = Artifact {
-        name: "futurework_adaptive",
-        columns: vec!["batch", "adaptive_wall_s", "static_wall_s"],
-        rows: walls
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                vec![
-                    i.to_string(),
-                    format!("{w:.6}"),
-                    format!("{static_wall:.6}"),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    };
+    let mut adaptive = Table::new(
+        "futurework_adaptive",
+        vec![
+            Column::key("batch"),
+            Column::modeled("adaptive_wall_s", 0.02, Fmt::Fixed(6)),
+            Column::modeled("static_wall_s", 0.02, Fmt::Fixed(6)),
+        ],
+    );
+    for (i, &w) in walls.iter().enumerate() {
+        adaptive.push(vec![i.into(), w.into(), static_wall.into()]);
+    }
 
     // --- 2. Knights Landing projection --------------------------------
     vprintln!(
@@ -182,31 +202,23 @@ pub fn run(scale: f64, verbose: bool) -> FutureworkResult {
             ],
         ),
     ];
-    vprintln!(
-        verbose,
-        "  {:<24} {:>10} {:>12} {:>12}",
-        "configuration",
-        "wall (s)",
-        "energy (kJ)",
-        "n/joule"
-    );
     let mut energy = Vec::new();
-    let mut energy_rows = Vec::new();
+    let mut energy_table = Table::new(
+        "futurework_energy",
+        vec![
+            Column::key("configuration"),
+            Column::modeled("wall_s", 0.02, Fmt::Fixed(3)),
+            Column::modeled("energy_j", 0.02, Fmt::Fixed(1)),
+            Column::modeled("neutrons_per_joule", 0.02, Fmt::Fixed(2)),
+        ],
+    );
     for (label, units) in &combos {
         let rep = batch_energy(label, units, n);
-        vprintln!(
-            verbose,
-            "  {:<24} {:>10.2} {:>12.2} {:>12.1}",
-            rep.label,
-            rep.wall_s,
-            rep.energy_j / 1e3,
-            rep.neutrons_per_joule()
-        );
-        energy_rows.push(vec![
-            rep.label.clone(),
-            format!("{:.3}", rep.wall_s),
-            format!("{:.1}", rep.energy_j),
-            format!("{:.2}", rep.neutrons_per_joule()),
+        energy_table.push(vec![
+            rep.label.as_str().into(),
+            rep.wall_s.into(),
+            rep.energy_j.into(),
+            rep.neutrons_per_joule().into(),
         ]);
         energy.push(EnergyRow {
             label: rep.label.clone(),
@@ -215,11 +227,6 @@ pub fn run(scale: f64, verbose: bool) -> FutureworkResult {
             neutrons_per_joule: rep.neutrons_per_joule(),
         });
     }
-    let energy_artifact = Artifact {
-        name: "futurework_energy",
-        columns: vec!["configuration", "wall_s", "energy_j", "neutrons_per_joule"],
-        rows: energy_rows,
-    };
 
     FutureworkResult {
         r_cpu,
@@ -230,6 +237,6 @@ pub fn run(scale: f64, verbose: bool) -> FutureworkResult {
         adaptive_walls: walls,
         adaptive_gain: gain,
         energy,
-        artifacts: vec![adaptive_artifact, energy_artifact],
+        tables: vec![adaptive, energy_table],
     }
 }

@@ -27,8 +27,23 @@ use mcs_core::history::batch_streams;
 use mcs_core::problem::Problem;
 use mcs_geom::TraversalKind;
 
-use super::{vprintln, Artifact};
-use crate::{header_with_scale, scaled_by, time_it};
+use super::{check, holds, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table};
+use crate::{scaled_by, time_it};
+
+/// Registry entry.
+pub const HARNESS: Harness = Harness {
+    name: "geometry",
+    title: "BENCH geometry: model-catalog traversal ablation, nested vs flattened lattice lookup",
+    tables: &["BENCH_geometry"],
+    run: |scale, verbose| {
+        let r = run(scale, verbose);
+        let invariants = score(&r);
+        HarnessRun {
+            counters: r.counters,
+            ..HarnessRun::new(invariants, vec![r.table])
+        }
+    },
+};
 
 /// Catalog entries the sweep covers: the unit-scale entry plus the two
 /// new scenario shapes. (`small`/`large` share their geometry with the
@@ -73,8 +88,8 @@ pub struct GeometryResult {
     /// `geom.*` counters of the flattened run of the last model at the
     /// largest bank, as exported by `GeomTraversal::export_counters`.
     pub counters: Vec<(String, u64)>,
-    /// The `BENCH_geometry` CSV.
-    pub artifact: Artifact,
+    /// The `BENCH_geometry` table.
+    pub table: Table,
 }
 
 impl GeometryResult {
@@ -159,34 +174,89 @@ fn sample(problem: &Problem, model: &'static str, bank: usize) -> GeometryRow {
     }
 }
 
+/// The flattened/nested bitwise contract, per-model k-eff plausibility
+/// bands, and the flattening payoff.
+///
+/// The k bands are wide on purpose: a single-batch k_track at the
+/// sweep's bank size moves with `MCS_SCALE`, so the band must admit
+/// both the CI scale and full scale. The *bitwise* agreement across
+/// treatments is the sharp check; the bands only catch a model whose
+/// physics went off the rails (an absorber that stopped absorbing, a
+/// zoning that doubled the fissile inventory).
+pub fn score(r: &GeometryResult) -> Vec<CheckOutcome> {
+    let mut out = vec![
+        check(
+            "GM.treatment_bitwise",
+            "per-batch k-eff is bit-identical between flattened and nested traversal on every model",
+            holds(r.treatment_bitwise()),
+            Band::Holds,
+        ),
+        check(
+            "GM.rates_positive",
+            "every model x treatment x bank sample produced a positive particle rate",
+            holds(r.rates_positive()),
+            Band::Holds,
+        ),
+        check(
+            "GM.flatten_no_more_steps",
+            "find_steps, flattened over nested, worst model (<= 1 = flattening never adds visits)",
+            MODELS
+                .iter()
+                .map(|&m| r.flatten_step_ratio(m))
+                .fold(0.0, f64::max),
+            Band::AtMost(1.0),
+        ),
+    ];
+    for (model, k) in r.k_by_model() {
+        let (id, lo, hi) = match model {
+            // Single unreflected assembly, tiny 7-nuclide library:
+            // leakage-dominated, deeply subcritical on a batch-0
+            // uniform source (observed ~0.51-0.55 across banks).
+            "test" => ("GM.keff_test", 0.3, 0.8),
+            // 37-assembly SMR with a rodded centre: near critical
+            // (observed ~1.08).
+            "smr" => ("GM.keff_smr", 0.8, 1.3),
+            // One assembly mid-tank: the deep water reflector returns
+            // thermalized neutrons, so the assembly itself runs
+            // slightly supercritical (observed ~1.09-1.11).
+            "shield" => ("GM.keff_shield", 0.8, 1.35),
+            _ => ("GM.keff_other", 0.1, 2.0),
+        };
+        out.push(check(
+            id,
+            "largest-bank single-batch k_track sits in the model's plausibility band",
+            k,
+            Band::Range { lo, hi },
+        ));
+    }
+    out
+}
+
 /// Run the model × treatment × bank-size sweep at `scale`.
 pub fn run(scale: f64, verbose: bool) -> GeometryResult {
-    if verbose {
-        header_with_scale(
-            "BENCH geometry",
-            "Model-catalog traversal ablation: nested vs flattened lattice lookup",
-            scale,
-        );
-    }
     let banks = [
         scaled_by(2_000, scale).max(400),
         scaled_by(10_000, scale).max(800),
     ];
 
-    vprintln!(
-        verbose,
-        "{:>8} {:>10} {:>8} {:>12} {:>12} {:>14} {:>12} {:>10}",
-        "model",
-        "treatment",
-        "bank",
-        "particles/s",
-        "find_steps",
-        "surface_tests",
-        "steps/part",
-        "k"
-    );
     let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
+    let mut table = Table::new(
+        "BENCH_geometry",
+        vec![
+            Column::key("model"),
+            Column::key("treatment"),
+            Column::key("bank_size").prefixed("b"),
+            Column::measured("particles_measured_per_s", Fmt::Fixed(1)).trended(),
+            Column::counter("finds").trended(),
+            Column::counter("find_steps").trended(),
+            Column::counter("surface_tests").trended(),
+            Column::counter("boundary_calls"),
+            Column::modeled("find_steps_per_particle", 0.02, Fmt::Fixed(4)),
+            // A deterministic float reduction.
+            Column::modeled("k_track", 1e-9, Fmt::Sci(9)),
+        ],
+    )
+    .trended("geom");
     let mut counters: Vec<(String, u64)> = Vec::new();
     for &model in MODELS.iter() {
         for &bank in &banks {
@@ -199,29 +269,17 @@ pub fn run(scale: f64, verbose: bool) -> GeometryResult {
                     problem.traversal.export_counters(&mut c);
                     counters = c.iter().map(|(k, v)| (k.to_string(), v)).collect();
                 }
-                vprintln!(
-                    verbose,
-                    "{:>8} {:>10} {:>8} {:>12.0} {:>12} {:>14} {:>12.2} {:>10.6}",
-                    row.model,
-                    row.treatment.name(),
-                    row.bank,
-                    row.particles_per_s,
-                    row.find_steps,
-                    row.surface_tests,
-                    row.find_steps_per_particle(),
-                    f64::from_bits(row.k_bits)
-                );
-                csv_rows.push(vec![
-                    row.model.to_string(),
-                    row.treatment.name().to_string(),
-                    row.bank.to_string(),
-                    format!("{:.1}", row.particles_per_s),
-                    row.finds.to_string(),
-                    row.find_steps.to_string(),
-                    row.surface_tests.to_string(),
-                    row.boundary_calls.to_string(),
-                    format!("{:.4}", row.find_steps_per_particle()),
-                    format!("{:.9e}", f64::from_bits(row.k_bits)),
+                table.push(vec![
+                    row.model.into(),
+                    row.treatment.name().into(),
+                    row.bank.into(),
+                    row.particles_per_s.into(),
+                    row.finds.into(),
+                    row.find_steps.into(),
+                    row.surface_tests.into(),
+                    row.boundary_calls.into(),
+                    row.find_steps_per_particle().into(),
+                    f64::from_bits(row.k_bits).into(),
                 ]);
                 rows.push(row);
             }
@@ -231,22 +289,7 @@ pub fn run(scale: f64, verbose: bool) -> GeometryResult {
     let result = GeometryResult {
         rows,
         counters,
-        artifact: Artifact {
-            name: "BENCH_geometry",
-            columns: vec![
-                "model",
-                "treatment",
-                "bank_size",
-                "particles_measured_per_s",
-                "finds",
-                "find_steps",
-                "surface_tests",
-                "boundary_calls",
-                "find_steps_per_particle",
-                "k_track",
-            ],
-            rows: csv_rows,
-        },
+        table,
     };
     if verbose {
         println!(

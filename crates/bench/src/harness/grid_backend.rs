@@ -22,8 +22,20 @@ use mcs_core::engine::{self, RunPlan, Threaded};
 use mcs_core::problem::Problem;
 use mcs_xs::{GridBackendKind, LibrarySpec, MacroXs, Material, XsContext};
 
-use super::{vprintln, Artifact};
-use crate::{header_with_scale, log_energies, scaled_by, time_it};
+use super::{check, holds, vprintln, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table};
+use crate::{log_energies, scaled_by, time_it};
+
+/// Registry entry.
+pub const HARNESS: Harness = Harness {
+    name: "grid_backend",
+    title:
+        "BENCH grid_backend: XS lookup rate and index memory per energy-grid backend (H.M. Small)",
+    tables: &["BENCH_grid_backend"],
+    run: |scale, verbose| {
+        let r = run(scale, verbose);
+        HarnessRun::new(score(&r), vec![r.table])
+    },
+};
 
 /// One backend × bank-size sample.
 #[derive(Debug, Clone)]
@@ -49,8 +61,8 @@ pub struct GridBackendResult {
     /// short history-mode eigenvalue (the cross-backend determinism
     /// contract: all entries must be identical across backends).
     pub batch_k_bits: Vec<(GridBackendKind, Vec<u64>)>,
-    /// The `BENCH_grid_backend` CSV.
-    pub artifact: Artifact,
+    /// The `BENCH_grid_backend` table.
+    pub table: Table,
 }
 
 impl GridBackendResult {
@@ -76,15 +88,37 @@ impl GridBackendResult {
     }
 }
 
+/// The unified lookup context's determinism and memory contracts
+/// across the three energy-grid search strategies.
+pub fn score(r: &GridBackendResult) -> Vec<CheckOutcome> {
+    let rates_positive = r
+        .rows
+        .iter()
+        .all(|row| row.lookups_per_s > 0.0 && row.checksum > 0.0);
+    vec![
+        check(
+            "GB.k_bitwise",
+            "per-batch k-eff is bit-identical across all three grid backends",
+            holds(r.k_bits_identical()),
+            Band::Holds,
+        ),
+        check(
+            "GB.hash_index_fraction",
+            "hash-binned index bytes as a fraction of the unionized index",
+            r.hash_index_fraction(),
+            Band::AtMost(0.25),
+        ),
+        check(
+            "GB.rates_positive",
+            "every backend x bank sample produced a positive lookup rate and checksum",
+            holds(rates_positive),
+            Band::Holds,
+        ),
+    ]
+}
+
 /// Run the backend × bank-size sweep at `scale`.
 pub fn run(scale: f64, verbose: bool) -> GridBackendResult {
-    if verbose {
-        header_with_scale(
-            "BENCH grid_backend",
-            "XS lookup rate and index memory per energy-grid backend (H.M. Small)",
-            scale,
-        );
-    }
     // S(α,β)/URR removed, as in the paper's lookup micro-benchmark.
     // Contexts come from the process-wide cache: repeated harness runs in
     // one process (mcs-check, criterion warmup) reuse the built indices.
@@ -94,17 +128,21 @@ pub fn run(scale: f64, verbose: bool) -> GridBackendResult {
         .collect();
     let fuel = Material::hm_fuel(contexts[0].lib());
 
-    vprintln!(
-        verbose,
-        "{:>10} {:>10} {:>16} {:>14} {:>14}",
-        "backend",
-        "bank",
-        "lookups/s meas",
-        "index bytes",
-        "checksum"
-    );
     let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
+    let mut table = Table::new(
+        "BENCH_grid_backend",
+        vec![
+            Column::key("backend"),
+            Column::key("bank_size").prefixed("b"),
+            Column::measured("lookups_measured_per_s", Fmt::Fixed(1)).trended(),
+            // A structure size: pure counting, identical on every host.
+            Column::exact("index_bytes", Fmt::Plain).trended(),
+            // A deterministic float reduction, identical across hosts
+            // up to print precision.
+            Column::modeled("checksum", 1e-9, Fmt::Sci(9)),
+        ],
+    )
+    .trended("grid");
     for ctx in &contexts {
         for &n in &[1_000usize, 10_000, 100_000] {
             let n = scaled_by(n, scale);
@@ -119,21 +157,12 @@ pub fn run(scale: f64, verbose: bool) -> GridBackendResult {
                 index_bytes: ctx.index_bytes(),
                 checksum,
             };
-            vprintln!(
-                verbose,
-                "{:>10} {:>10} {:>16.0} {:>14} {:>14.6e}",
-                row.backend.name(),
-                row.bank,
-                row.lookups_per_s,
-                row.index_bytes,
-                row.checksum
-            );
-            csv_rows.push(vec![
-                row.backend.name().to_string(),
-                row.bank.to_string(),
-                format!("{:.1}", row.lookups_per_s),
-                row.index_bytes.to_string(),
-                format!("{:.9e}", row.checksum),
+            table.push(vec![
+                row.backend.name().into(),
+                row.bank.into(),
+                row.lookups_per_s.into(),
+                row.index_bytes.into(),
+                row.checksum.into(),
             ]);
             rows.push(row);
         }
@@ -159,30 +188,19 @@ pub fn run(scale: f64, verbose: bool) -> GridBackendResult {
             (kind, bits)
         })
         .collect();
-    if verbose {
-        let agree = {
-            let (_, reference) = &batch_k_bits[0];
-            batch_k_bits.iter().all(|(_, b)| b == reference)
-        };
-        println!(
-            "\nper-batch k bit-identical across backends: {}",
-            if agree { "yes" } else { "NO" }
-        );
-    }
-
-    GridBackendResult {
+    let result = GridBackendResult {
         rows,
         batch_k_bits,
-        artifact: Artifact {
-            name: "BENCH_grid_backend",
-            columns: vec![
-                "backend",
-                "bank_size",
-                "lookups_measured_per_s",
-                "index_bytes",
-                "checksum",
-            ],
-            rows: csv_rows,
-        },
-    }
+        table,
+    };
+    vprintln!(
+        verbose,
+        "\nper-batch k bit-identical across backends: {}",
+        if result.k_bits_identical() {
+            "yes"
+        } else {
+            "NO"
+        }
+    );
+    result
 }

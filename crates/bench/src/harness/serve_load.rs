@@ -19,19 +19,29 @@
 //!   scale-independent.
 //!
 //! Counter columns (`submissions`, `unique_plans`, `served_saved`,
-//! `cold_runs`, `rejects`) are deterministic at fixed scale and golden
-//! `Exact`; the rate/latency columns are measured and golden
-//! `Positive`. The nondeterministic hit/coalesce *split* stays out of
-//! the CSV — it rides only in the JSON summary.
+//! `cold_runs`, `rejects`) are pure counting, deterministic at fixed
+//! scale and golden-exact; the rate/latency columns are measured. The
+//! nondeterministic hit/coalesce *split* stays out of the table.
 
 use std::net::SocketAddr;
 use std::time::Instant;
 
-use mcs_core::engine::{ModelSpec, RunPlan};
+use mcs_core::engine::RunPlan;
 use mcs_serve::{Client, Priority, ServeConfig, Server, Source};
 
-use super::{vprintln, Artifact};
-use crate::{header_with_scale, scaled_by};
+use super::{check, holds, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table};
+use crate::scaled_by;
+
+/// Registry entry.
+pub const HARNESS: Harness = Harness {
+    name: "serve",
+    title: "BENCH serve: plan-execution service under concurrent load",
+    tables: &["BENCH_serve"],
+    run: |scale, verbose| {
+        let r = run(scale, verbose);
+        HarnessRun::new(score(&r), vec![r.table])
+    },
+};
 
 /// Client threads in the concurrent phase.
 const CONCURRENT_CLIENTS: usize = 4;
@@ -79,20 +89,11 @@ pub struct ServeLoadResult {
     pub hits: u64,
     /// Total in-flight coalesces across all phases.
     pub coalesced: u64,
-    /// Worker-pool size of the throughput servers.
-    pub workers: usize,
-    /// Queue cap of the throughput servers.
-    pub queue_cap: usize,
-    /// The `BENCH_serve` CSV.
-    pub artifact: Artifact,
+    /// The `BENCH_serve` table.
+    pub table: Table,
 }
 
 impl ServeLoadResult {
-    /// The row for `phase`, if the phase ran.
-    pub fn row(&self, phase: &str) -> Option<&ServeLoadRow> {
-        self.rows.iter().find(|r| r.phase == phase)
-    }
-
     /// True iff every phase reported positive, finite rate and latencies.
     pub fn rates_positive(&self) -> bool {
         self.rows.iter().all(|r| {
@@ -362,66 +363,51 @@ fn run_admission() -> PhaseOutcome {
     }
 }
 
-/// Standalone heavy-model leg: one cold run of the `smr` catalog model
-/// through the service, then a cached replay of the same plan. Not part
-/// of the three-phase battery (the `BENCH_serve` CSV shape is golden);
-/// `ablate_serve` appends its cell to the JSON summary at full scale.
-/// Returns the phase row and whether the replay was bit-identical.
-pub fn run_smr(scale: f64) -> (ServeLoadRow, bool) {
-    let server = Server::bind("127.0.0.1:0", throughput_config()).expect("bind smr-leg server");
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    let plan = RunPlan {
-        model: ModelSpec::named("smr"),
-        particles: scaled_by(2_000, scale).max(100),
-        inactive: 1,
-        active: 1,
-        entropy_mesh: (4, 4, 4),
-        seed: Some(0x10ad_5111),
-        ..RunPlan::default()
-    };
-
-    let t0 = Instant::now();
-    let t = Instant::now();
-    let (source, cold) = client.run(&plan, Priority::Normal).expect("smr cold run");
-    let cold_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(source, Source::Run, "first smr submission runs cold");
-    let t = Instant::now();
-    let (source, warm) = client.run(&plan, Priority::Normal).expect("smr replay");
-    let warm_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        source,
-        Source::Cache,
-        "smr replay must be served from cache"
-    );
-    let bitwise = *warm == *cold;
-    let elapsed = t0.elapsed().as_secs_f64();
-
-    let stats = client.stats().expect("stats");
-    let row = ServeLoadRow {
-        phase: "smr",
-        submissions: 2,
-        unique_plans: 1,
-        served_saved: stats.cache_hits + stats.coalesced,
-        cold_runs: stats.cold_runs,
-        rejects: stats.rejected,
-        plans_per_second: 2.0 / elapsed.max(1e-12),
-        p50_ms: warm_ms.min(cold_ms).max(1e-6),
-        p99_ms: warm_ms.max(cold_ms).max(1e-6),
-    };
-    server.shutdown();
-    (row, bitwise)
+/// The cache's bitwise/zero-relookup contract, the submission ledger,
+/// and the engineered admission overflow.
+pub fn score(r: &ServeLoadResult) -> Vec<CheckOutcome> {
+    vec![
+        check(
+            "SV.cache_bitwise",
+            "cached replay is bit-identical to the cold run of the same plan",
+            holds(r.cache_bitwise),
+            Band::Holds,
+        ),
+        check(
+            "SV.relookup_free",
+            "serving the cache-hit wave moved xs.lookups by exactly zero",
+            holds(r.relookup_free),
+            Band::Holds,
+        ),
+        check(
+            "SV.ledger_balanced",
+            "hits + coalesces + cold runs + rejects == submissions, and no plan ran twice",
+            holds(r.ledger_balanced()),
+            Band::Holds,
+        ),
+        check(
+            "SV.rejects_bounded",
+            "admission control rejected exactly the engineered overflow, nowhere else",
+            holds(r.rejects_expected()),
+            Band::Holds,
+        ),
+        check(
+            "SV.hit_rate",
+            "fraction of admitted submissions served without an engine run",
+            r.saved_fraction(),
+            Band::AtLeast(0.5),
+        ),
+        check(
+            "SV.rates_positive",
+            "every phase reported positive finite throughput and p99 >= p50 latency",
+            holds(r.rates_positive()),
+            Band::Holds,
+        ),
+    ]
 }
 
 /// Run the three-phase load battery at `scale`.
 pub fn run(scale: f64, verbose: bool) -> ServeLoadResult {
-    if verbose {
-        header_with_scale(
-            "BENCH serve",
-            "plan-execution service under concurrent load",
-            scale,
-        );
-    }
-
     let (sequential, cache_bitwise, relookup_free) = run_sequential(scale);
     let concurrent = run_concurrent(scale);
     let admission = run_admission();
@@ -431,71 +417,46 @@ pub fn run(scale: f64, verbose: bool) -> ServeLoadResult {
     let coalesced = phases.iter().map(|p| p.coalesced).sum();
     let rows: Vec<ServeLoadRow> = phases.into_iter().map(|p| p.row).collect();
 
-    vprintln!(
-        verbose,
-        "{:>12} {:>12} {:>8} {:>8} {:>6} {:>8} {:>10} {:>9} {:>9}",
-        "phase",
-        "submissions",
-        "unique",
-        "saved",
-        "cold",
-        "rejects",
-        "plans/s",
-        "p50 ms",
-        "p99 ms"
-    );
-    let mut csv_rows = Vec::new();
+    // The ledger columns are pure counting, no FP: exact on every host
+    // and ISA leg. Cold runs and rejects are the deterministic work the
+    // trend gate follows; the hit/coalesce split behind `served_saved`
+    // is scheduling-dependent and deliberately NOT trended.
+    let mut table = Table::new(
+        "BENCH_serve",
+        vec![
+            Column::key("phase"),
+            Column::exact("submissions", Fmt::Plain),
+            Column::exact("unique_plans", Fmt::Plain),
+            Column::exact("served_saved", Fmt::Plain),
+            Column::exact("cold_runs", Fmt::Plain).trended(),
+            Column::exact("rejects", Fmt::Plain).trended(),
+            Column::measured("plans_measured_per_s", Fmt::Fixed(1)).trended_as("plans_per_s"),
+            Column::measured("p50_measured_ms", Fmt::Fixed(3)),
+            Column::measured("p99_measured_ms", Fmt::Fixed(3)),
+        ],
+    )
+    .trended("serve");
     for r in &rows {
-        vprintln!(
-            verbose,
-            "{:>12} {:>12} {:>8} {:>8} {:>6} {:>8} {:>10.1} {:>9.3} {:>9.3}",
-            r.phase,
-            r.submissions,
-            r.unique_plans,
-            r.served_saved,
-            r.cold_runs,
-            r.rejects,
-            r.plans_per_second,
-            r.p50_ms,
-            r.p99_ms
-        );
-        csv_rows.push(vec![
-            r.phase.to_string(),
-            r.submissions.to_string(),
-            r.unique_plans.to_string(),
-            r.served_saved.to_string(),
-            r.cold_runs.to_string(),
-            r.rejects.to_string(),
-            format!("{:.1}", r.plans_per_second),
-            format!("{:.3}", r.p50_ms),
-            format!("{:.3}", r.p99_ms),
+        table.push(vec![
+            r.phase.into(),
+            r.submissions.into(),
+            r.unique_plans.into(),
+            r.served_saved.into(),
+            r.cold_runs.into(),
+            r.rejects.into(),
+            r.plans_per_second.into(),
+            r.p50_ms.into(),
+            r.p99_ms.into(),
         ]);
     }
 
-    let cfg = throughput_config();
     let result = ServeLoadResult {
         rows,
         cache_bitwise,
         relookup_free,
         hits,
         coalesced,
-        workers: cfg.workers,
-        queue_cap: cfg.queue_cap,
-        artifact: Artifact {
-            name: "BENCH_serve",
-            columns: vec![
-                "phase",
-                "submissions",
-                "unique_plans",
-                "served_saved",
-                "cold_runs",
-                "rejects",
-                "plans_measured_per_s",
-                "p50_measured_ms",
-                "p99_measured_ms",
-            ],
-            rows: csv_rows,
-        },
+        table,
     };
     if verbose {
         println!(
@@ -511,4 +472,49 @@ pub fn run(scale: f64, verbose: bool) -> ServeLoadResult {
         );
     }
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn intact_serve_passes_and_perturbed_serve_fails() {
+        // One real reduced-scale battery (live TCP servers on
+        // ephemeral ports), then targeted perturbations of the typed
+        // result — the exit-flip demonstration for every SV gate.
+        let good = run(0.05, false);
+        let before = score(&good);
+        assert!(before.iter().all(|c| c.passed), "{before:?}");
+
+        let fails = |r: &ServeLoadResult, id: &str| {
+            let out = score(r);
+            assert!(
+                !out.iter().find(|c| c.id == id).unwrap().passed,
+                "{id} should fail after perturbation"
+            );
+        };
+        let mut r = good.clone();
+        r.cache_bitwise = false;
+        fails(&r, "SV.cache_bitwise");
+
+        let mut r = good.clone();
+        r.relookup_free = false;
+        fails(&r, "SV.relookup_free");
+
+        // A phantom duplicate run: the ledger stops balancing.
+        let mut r = good.clone();
+        r.rows[0].cold_runs += 1;
+        fails(&r, "SV.ledger_balanced");
+
+        // A reject outside the engineered admission overflow.
+        let mut r = good.clone();
+        r.rows[0].rejects += 1;
+        fails(&r, "SV.rejects_bounded");
+
+        // A stalled phase: zero throughput must trip the timing check.
+        let mut r = good;
+        r.rows[1].plans_per_second = 0.0;
+        fails(&r, "SV.rates_positive");
+    }
 }

@@ -13,8 +13,19 @@ use mcs_device::catalog;
 use mcs_device::workload::ProblemShape;
 use mcs_device::{OffloadBreakdown, OffloadModel};
 
-use super::{vprintln, Artifact};
-use crate::{fmt_secs, header_with_scale};
+use super::{check, holds, vprintln, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table};
+use crate::fmt_secs;
+
+/// Registry entry.
+pub const HARNESS: Harness = Harness {
+    name: "table2",
+    title: "Table II: banking + offload costs per iteration (1e5 particles)",
+    tables: &["table2_offload_overhead"],
+    run: |scale, verbose| {
+        let r = run(scale, verbose);
+        HarnessRun::new(score(&r), vec![r.table])
+    },
+};
 
 /// Typed result of the Table II harness.
 #[derive(Debug, Clone)]
@@ -25,20 +36,37 @@ pub struct Table2Result {
     pub large: OffloadBreakdown,
     /// This reproduction's real grid bytes (Small, Large).
     pub repro_grid_bytes: (f64, f64),
-    /// The `table2_offload_overhead` CSV.
-    pub artifact: Artifact,
+    /// The `table2_offload_overhead` table.
+    pub table: Table,
+}
+
+/// Table II — banking and offload overheads.
+pub fn score(r: &Table2Result) -> Vec<CheckOutcome> {
+    vec![
+        check(
+            "T2.transfer_dominates_small",
+            "H.M. Small: transfer > device compute > host banking",
+            holds(r.small.transfer_dominates()),
+            Band::Holds,
+        ),
+        check(
+            "T2.transfer_dominates_large",
+            "H.M. Large: transfer > device compute > host banking",
+            holds(r.large.transfer_dominates()),
+            Band::Holds,
+        ),
+        check(
+            "T2.grid_grows",
+            "H.M. Large energy grid is several times H.M. Small's",
+            r.repro_grid_bytes.1 / r.repro_grid_bytes.0,
+            Band::AtLeast(1.5),
+        ),
+    ]
 }
 
 /// Run the Table II cost model. The offload pipeline is fully modeled at
-/// the paper's 10⁵-particle bank, so `scale` only appears in the header.
-pub fn run(scale: f64, verbose: bool) -> Table2Result {
-    if verbose {
-        header_with_scale(
-            "Table II",
-            "banking + offload costs per iteration (1e5 particles)",
-            scale,
-        );
-    }
+/// the paper's 10⁵-particle bank, so `_scale` is unused.
+pub fn run(_scale: f64, verbose: bool) -> Table2Result {
     let model = OffloadModel::between(
         &catalog::device("host-e5-2687w").expect("default host"),
         &catalog::device("knc-7120a").expect("knc entry"),
@@ -55,13 +83,15 @@ pub fn run(scale: f64, verbose: bool) -> Table2Result {
     let large = Problem::hm(HmModel::Large, &cfg);
     let grid_bytes = |p: &Problem| (p.xs.index_bytes() + p.xs.data_bytes()) as f64;
 
-    let mut rows = Vec::new();
-    vprintln!(
-        verbose,
-        "\n{:<36} {:>16} {:>16}",
-        "operation",
-        "H.M. Small",
-        "H.M. Large"
+    // Every cell is a quantity printed with its unit ("386.712 ms"),
+    // compared against the golden as number + unit.
+    let mut table = Table::new(
+        "table2_offload_overhead",
+        vec![
+            Column::key("operation"),
+            Column::modeled("hm_small", 0.02, Fmt::Plain),
+            Column::modeled("hm_large", 0.02, Fmt::Plain),
+        ],
     );
     let shapes = [
         (
@@ -86,10 +116,8 @@ pub fn run(scale: f64, verbose: bool) -> Table2Result {
     let b_small = model.breakdown(&shapes[0].0, n, shapes[0].2);
     let b_large = model.breakdown(&shapes[1].0, n, shapes[1].2);
 
-    let mut row = |label: &str, s: String, l: String| {
-        vprintln!(verbose, "{label:<36} {s:>16} {l:>16}");
-        rows.push(vec![label.to_string(), s, l]);
-    };
+    let mut row =
+        |label: &str, s: String, l: String| table.push(vec![label.into(), s.into(), l.into()]);
     row(
         "banking (host)",
         fmt_secs(b_small.banking_host_s),
@@ -150,10 +178,6 @@ pub fn run(scale: f64, verbose: bool) -> Table2Result {
         small: b_small,
         large: b_large,
         repro_grid_bytes: (shapes[0].1, shapes[1].1),
-        artifact: Artifact {
-            name: "table2_offload_overhead",
-            columns: vec!["operation", "hm_small", "hm_large"],
-            rows,
-        },
+        table,
     }
 }

@@ -12,8 +12,19 @@ use mcs_device::catalog;
 use mcs_device::native::{shape_of, NativeModel, TransportKind};
 use mcs_device::SymmetricModel;
 
-use super::{vprintln, Artifact};
-use crate::{header_with_scale, scaled_by};
+use super::{check, vprintln, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table, Value};
+use crate::scaled_by;
+
+/// Registry entry.
+pub const HARNESS: Harness = Harness {
+    name: "table3",
+    title: "Table III: symmetric-mode rates, original vs load balanced",
+    tables: &["table3_symmetric_balance"],
+    run: |scale, verbose| {
+        let r = run(scale, verbose);
+        HarnessRun::new(score(&r), vec![r.table])
+    },
+};
 
 /// One hardware-combination row of Table III.
 #[derive(Debug, Clone)]
@@ -48,19 +59,72 @@ pub struct Table3Result {
     pub rows: Vec<Table3Row>,
     /// The paper's headline: CPU+2MIC balanced over CPU-only.
     pub headline: f64,
-    /// The `table3_symmetric_balance` CSV.
-    pub artifact: Artifact,
+    /// The `table3_symmetric_balance` table.
+    pub table: Table,
+}
+
+/// Table III — symmetric-mode load balancing.
+pub fn score(r: &Table3Result) -> Vec<CheckOutcome> {
+    let worst_vs_ideal = r
+        .rows
+        .iter()
+        .filter_map(|row| row.balanced.map(|b| b / row.ideal))
+        .fold(1.0, f64::min);
+    let balanced_wins = r
+        .rows
+        .iter()
+        .filter_map(|row| row.balanced.map(|b| b / row.original))
+        .fold(f64::INFINITY, f64::min);
+    // Degraded mode (kill-one-device column): the rebalanced survivors
+    // must run at their own ideal rate, and the job must still be
+    // measurably slower than the healthy balanced run — throughput was
+    // genuinely lost, not papered over.
+    let degraded_recovery = r
+        .rows
+        .iter()
+        .filter_map(|row| row.degraded.zip(row.survivor_ideal).map(|(d, s)| d / s))
+        .fold(1.0, f64::min);
+    let degraded_cost = r
+        .rows
+        .iter()
+        .filter_map(|row| row.balanced.zip(row.degraded).map(|(b, d)| b / d))
+        .fold(f64::INFINITY, f64::min);
+    vec![
+        check(
+            "T3.balanced_near_ideal",
+            "Eq.-3 balanced split recovers the ideal sum-of-rates",
+            worst_vs_ideal,
+            Band::AtLeast(0.99),
+        ),
+        check(
+            "T3.balanced_beats_even",
+            "balancing beats the even split on every heterogeneous row",
+            balanced_wins,
+            Band::AtLeast(1.0),
+        ),
+        check(
+            "T3.headline",
+            "CPU + 2 MICs balanced over CPU only (paper: 4.2x)",
+            r.headline,
+            Band::Range { lo: 3.0, hi: 5.5 },
+        ),
+        check(
+            "T3.degraded_recovers",
+            "after a device death, rebalanced survivors recover their ideal rate",
+            degraded_recovery,
+            Band::AtLeast(0.99),
+        ),
+        check(
+            "T3.degraded_cost",
+            "losing a device costs real throughput vs the healthy balanced run",
+            degraded_cost,
+            Band::AtLeast(1.05),
+        ),
+    ]
 }
 
 /// Run the Table III balancing study at `scale`.
 pub fn run(scale: f64, verbose: bool) -> Table3Result {
-    if verbose {
-        header_with_scale(
-            "Table III",
-            "symmetric-mode rates: original vs load balanced",
-            scale,
-        );
-    }
     let problem = Problem::hm(HmModel::Large, &ProblemConfig::default());
     let shape = shape_of(&problem);
 
@@ -101,16 +165,19 @@ pub fn run(scale: f64, verbose: bool) -> Table3Result {
 
     let n_total = 100_000u64;
     let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
-    vprintln!(
-        verbose,
-        "{:<14} {:>14} {:>16} {:>14} {:>14}",
-        "hardware",
-        "original",
-        "load balanced",
-        "ideal",
-        "degraded"
+    let rate = |name| Column::modeled(name, 0.02, Fmt::Fixed(0));
+    let mut table = Table::new(
+        "table3_symmetric_balance",
+        vec![
+            Column::key("hardware"),
+            rate("original_rate"),
+            rate("balanced_rate"),
+            rate("ideal_rate"),
+            rate("degraded_rate"),
+        ],
     );
+    // Single-device rows have no balanced or degraded mode.
+    let or_na = |x: Option<f64>| x.map_or(Value::from("N/A"), Value::from);
     let mut show = |label: &'static str, ranks: &[(&str, f64)], balanced_applies: bool| {
         let m = SymmetricModel::new(ranks);
         let orig = m.original_rate(n_total);
@@ -129,27 +196,12 @@ pub fn run(scale: f64, verbose: bool) -> Table3Result {
         } else {
             (None, None)
         };
-        let bal_str = balanced
-            .map(|b| format!("{b:.0}"))
-            .unwrap_or_else(|| "N/A".to_string());
-        let deg_str = degraded
-            .map(|d| format!("{d:.0}"))
-            .unwrap_or_else(|| "N/A".to_string());
-        vprintln!(
-            verbose,
-            "{:<14} {:>14.0} {:>16} {:>14.0} {:>14}",
-            label,
-            orig,
-            bal_str,
-            m.ideal(),
-            deg_str
-        );
-        csv_rows.push(vec![
-            label.to_string(),
-            format!("{orig:.0}"),
-            bal_str,
-            format!("{:.0}", m.ideal()),
-            deg_str.clone(),
+        table.push(vec![
+            label.into(),
+            orig.into(),
+            or_na(balanced),
+            m.ideal().into(),
+            or_na(degraded),
         ]);
         rows.push(Table3Row {
             hardware: label,
@@ -168,11 +220,11 @@ pub fn run(scale: f64, verbose: bool) -> Table3Result {
         &[("cpu", r_cpu), ("mic0", r_mic), ("mic1", r_mic)],
         true,
     );
-    vprintln!(verbose, "\npaper:          original      load balanced");
-    vprintln!(verbose, "CPU only           4,050                N/A");
-    vprintln!(verbose, "MIC only           6,641                N/A");
-    vprintln!(verbose, "CPU + MIC          8,988             10,068");
-    vprintln!(verbose, "CPU + 2 MICs      11,860             17,098");
+    vprintln!(
+        verbose,
+        "paper, original / load balanced: CPU only 4,050 / N/A, MIC only 6,641 / N/A,\n\
+         CPU + MIC 8,988 / 10,068, CPU + 2 MICs 11,860 / 17,098"
+    );
 
     let m2 = SymmetricModel::new(&[("cpu", r_cpu), ("mic0", r_mic), ("mic1", r_mic)]);
     let headline = m2.balanced_rate(n_total) / r_cpu;
@@ -187,16 +239,66 @@ pub fn run(scale: f64, verbose: bool) -> Table3Result {
         alpha,
         rows,
         headline,
-        artifact: Artifact {
-            name: "table3_symmetric_balance",
-            columns: vec![
-                "hardware",
-                "original_rate",
-                "balanced_rate",
-                "ideal_rate",
-                "degraded_rate",
-            ],
-            rows: csv_rows,
-        },
+        table,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn perturbed_table3_headline_fails() {
+        // Fabricated result in the paper's shape...
+        let good = Table3Result {
+            r_cpu: 13_667.0,
+            r_mic: 20_675.0,
+            alpha: 0.66,
+            rows: vec![Table3Row {
+                hardware: "CPU + 2 MICs",
+                original: 41_000.0,
+                balanced: Some(55_016.0),
+                ideal: 55_016.0,
+                degraded: Some(34_342.0),
+                survivor_ideal: Some(34_342.0),
+            }],
+            headline: 4.03,
+            table: Table::new("table3_symmetric_balance", vec![]),
+        };
+        assert!(score(&good).iter().all(|c| c.passed));
+        // ...then with the balancing gain wiped out.
+        let mut bad = good.clone();
+        bad.headline = 1.0;
+        bad.rows[0].balanced = Some(30_000.0);
+        let out = score(&bad);
+        assert!(!out.iter().find(|c| c.id == "T3.headline").unwrap().passed);
+        assert!(
+            !out.iter()
+                .find(|c| c.id == "T3.balanced_beats_even")
+                .unwrap()
+                .passed
+        );
+        // And the degraded column: survivors falling short of their own
+        // ideal rate must trip T3.degraded_recovers.
+        let mut lossy = good.clone();
+        lossy.rows[0].degraded = Some(20_000.0); // well under 34,342 ideal
+        let out = score(&lossy);
+        assert!(
+            !out.iter()
+                .find(|c| c.id == "T3.degraded_recovers")
+                .unwrap()
+                .passed
+        );
+        // A "degraded" run as fast as the healthy one means the death
+        // cost was papered over — T3.degraded_cost must catch it.
+        let mut free_lunch = good;
+        free_lunch.rows[0].degraded = Some(55_016.0);
+        let out = score(&free_lunch);
+        assert!(
+            !out.iter()
+                .find(|c| c.id == "T3.degraded_cost")
+                .unwrap()
+                .passed
+        );
     }
 }

@@ -1,81 +1,80 @@
-//! Shared plumbing for the table/figure harness binaries.
+//! The benchmark harnesses and their shared plumbing.
 //!
-//! Every binary in `src/bin/` regenerates one evaluation artifact of the
-//! paper. Conventions:
+//! Every entry of [`harness::HARNESSES`] regenerates one evaluation
+//! artifact of the paper or one ablation sweep. Conventions:
 //!
-//! * results are printed in the paper's row/series structure *and* written
-//!   as CSV under `results/`;
+//! * results are typed tables, printed and written as CSV plus one
+//!   `BENCH_<name>.json` under [`results_dir`];
 //! * every run is headed by hardware provenance (the host's real SIMD
-//!   features) and a MEASURED/MODELED tag per column — measured numbers
-//!   come from real kernel executions on this host, modeled numbers from
-//!   the calibrated machine model in `mcs-device`;
-//! * `MCS_SCALE` (a float, default 1) scales particle/lookups counts, so
-//!   `MCS_SCALE=10 cargo run --release --bin fig5_calc_rates` approaches
-//!   paper scale on a beefier machine.
+//!   features) and every column is declared MEASURED or MODELED —
+//!   measured numbers come from real kernel executions on this host,
+//!   modeled numbers from the calibrated machine model in `mcs-device`;
+//! * `MCS_SCALE` (a positive float, default 1) scales particle/lookup
+//!   counts, so `MCS_SCALE=10 mcs-bench run fig5` approaches paper
+//!   scale on a beefier machine.
 
 #![warn(missing_docs)]
 
 pub mod harness;
 pub mod trend;
 
-use std::fs;
-use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use mcs_simd::feature::SimdFeatures;
 
-/// The `results/` directory (created on demand).
+/// Where result files go: `MCS_RESULTS_DIR`, else `results/` at the
+/// workspace root (whatever the CWD — `cargo bench` and `cargo test`
+/// run in the package directory).
 pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env_or("MCS_RESULTS_DIR", "results"));
-    fs::create_dir_all(&dir).expect("create results dir");
-    dir
+    match std::env::var_os("MCS_RESULTS_DIR") {
+        Some(dir) => PathBuf::from(dir),
+        None => workspace_root().join("results"),
+    }
 }
 
-fn env_or(key: &str, default: &str) -> String {
-    std::env::var(key).unwrap_or_else(|_| default.to_string())
+/// The workspace root this crate was built in.
+pub fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root")
 }
 
-/// Workload scale factor from `MCS_SCALE` (default 1.0).
-pub fn scale() -> f64 {
-    env_or("MCS_SCALE", "1").parse().unwrap_or(1.0)
+/// Workload scale factor from `MCS_SCALE`, or `default` when unset.
+/// A value that is not a positive finite number is an error naming the
+/// variable, never a silent fallback.
+pub fn scale_from_env(default: f64) -> Result<f64, String> {
+    let Ok(text) = std::env::var("MCS_SCALE") else {
+        return Ok(default);
+    };
+    match text.trim().parse::<f64>() {
+        Ok(s) if s.is_finite() && s > 0.0 => Ok(s),
+        _ => Err(format!(
+            "MCS_SCALE={text:?} is not a positive number (e.g. MCS_SCALE=0.1)"
+        )),
+    }
 }
 
-/// Scale a nominal count, with a floor of 1.
-pub fn scaled(n: usize) -> usize {
-    scaled_by(n, scale())
+/// Hardware threads available to this process (1 if unknown).
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
-/// Scale a nominal count by an explicit factor, with a floor of 1.
+/// Scale a nominal count by `scale`, with a floor of 1.
 pub fn scaled_by(n: usize, scale: f64) -> usize {
     ((n as f64 * scale) as usize).max(1)
 }
 
 /// Print the standard experiment header.
-pub fn header(id: &str, title: &str) {
-    header_with_scale(id, title, scale());
-}
-
-/// Print the standard experiment header for an explicit scale factor
-/// (used by the library harness entry points, which take scale as an
-/// argument instead of reading `MCS_SCALE`).
-pub fn header_with_scale(id: &str, title: &str, scale: f64) {
+pub fn header(title: &str, scale: f64) {
     println!("==============================================================");
-    println!("{id}: {title}");
+    println!("{title}");
     println!("host: {}", SimdFeatures::detect().summary());
     println!("scale factor: {scale}");
     println!("==============================================================");
-}
-
-/// Write rows as CSV under `results/<name>.csv`.
-pub fn write_csv(name: &str, columns: &[&str], rows: &[Vec<String>]) {
-    let path = results_dir().join(format!("{name}.csv"));
-    let mut f = fs::File::create(&path).expect("create csv");
-    writeln!(f, "{}", columns.join(",")).unwrap();
-    for row in rows {
-        writeln!(f, "{}", row.join(",")).unwrap();
-    }
-    println!("[csv] wrote {}", path.display());
 }
 
 /// Time a closure, returning (result, seconds).
@@ -112,7 +111,7 @@ mod tests {
 
     #[test]
     fn scaled_has_floor() {
-        assert!(scaled(1) >= 1);
+        assert_eq!(scaled_by(1, 0.001), 1);
     }
 
     #[test]

@@ -1,19 +1,27 @@
 //! Ingestion: `results/BENCH_*.json` + `check_report.json` → one record.
 //!
+//! Every `BENCH_<harness>.json` is written by
+//! [`HarnessRun::write`](crate::harness::HarnessRun::write) and carries
+//! its own trend view (`trend.rates`, `trend.counters`, derived from
+//! the tables' column declarations), its exported instrumentation
+//! counters and its tables; ingestion merges those generically and
+//! never names a harness.
+//!
 //! Discovery looks in the results dir *and* its `check/` subdirectory
-//! (where the CI check job redirects its fresh reduced-scale bench
-//! JSONs via `MCS_RESULTS_DIR`); on a basename collision the `check/`
-//! copy wins, so a CI run trends its own fresh measurements rather than
-//! the committed full-scale artifacts that came along with the
-//! checkout.
+//! (where `mcs-check` leaves the fresh reduced-scale files of a CI
+//! run); on a basename collision the `check/` copy wins, so a CI run
+//! trends its own fresh measurements rather than the committed
+//! full-scale artifacts that came along with the checkout.
 //!
 //! Records must be comparable, so every ingested file has to agree on
 //! `mcs_scale`: the consensus scale is the most common one among the
 //! candidate files (ties break toward `check_report.json`'s scale), and
-//! files at any other scale — or missing the stamp entirely, like
-//! pre-PR2 `BENCH_event_parallel.json` — are skipped with a note that
-//! lands in the report's `skipped` list instead of poisoning the
-//! baseline.
+//! files at any other scale are skipped with a note that lands in the
+//! report's `skipped` list instead of poisoning the baseline. A file
+//! whose `bench` tag no registered harness owns is skipped the same
+//! way; a registered harness's file without a scale stamp is a hard
+//! error — its producer is broken, and skipping it would silently
+//! un-gate that benchmark.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -23,41 +31,7 @@ use mcs_prof::value::JsonValue;
 use mcs_prof::Counters;
 
 use super::TrendError;
-
-/// One `BENCH_grid_backend` sample row, kept for the roofline estimate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridCell {
-    /// Grid backend name (`binary`, `unionized`, `hash`).
-    pub backend: String,
-    /// Bank size of the sweep cell.
-    pub bank: u64,
-    /// Measured lookups/s.
-    pub rate: f64,
-    /// Index-structure bytes of this backend.
-    pub index_bytes: u64,
-}
-
-/// One `BENCH_event_queueing` sample row, kept for the roofline
-/// estimate and the per-cell counter surface.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EqCell {
-    /// Grid backend name.
-    pub backend: String,
-    /// Queueing mode (`off`, `material`, `material+energy`).
-    pub mode: String,
-    /// Bank size of the sweep cell.
-    pub bank: u64,
-    /// Measured particles/s.
-    pub rate: f64,
-    /// Grid lookups performed (deterministic).
-    pub lookups: u64,
-    /// Hash segment-scan steps (deterministic; 0 off-hash).
-    pub bin_scan_steps: u64,
-    /// Priced gather span in bytes (deterministic).
-    pub gather_span_bytes: u64,
-    /// Gather span pairs observed (deterministic).
-    pub gather_span_pairs: u64,
-}
+use crate::harness::Harness;
 
 /// Everything ingested from one results directory.
 #[derive(Debug, Clone, Default)]
@@ -65,16 +39,15 @@ pub struct Ingested {
     /// Consensus workload scale of the ingested files.
     pub mcs_scale: f64,
     /// Host threads of the measured run (from `check_report.json` when
-    /// available, else this process's view).
+    /// available, else the bench files' stamp).
     pub host_threads: usize,
     /// Rate metrics keyed by stable cell ID (`grid.hash.b100000`, ...).
     pub rates: BTreeMap<String, f64>,
-    /// Deterministic counters (per-cell + the `xs.*` report set).
+    /// Deterministic counters (per-cell + the exported `xs.*`/`geom.*`).
     pub counters: BTreeMap<String, u64>,
-    /// Grid-backend cells for the roofline estimate.
-    pub grid_cells: Vec<GridCell>,
-    /// Event-queueing cells for the roofline estimate.
-    pub eq_cells: Vec<EqCell>,
+    /// Rows of every ingested table, by table name, each an object
+    /// keyed by column name — what the roofline estimate reads.
+    pub tables: BTreeMap<String, Vec<JsonValue>>,
     /// Files that contributed to this record.
     pub sources: Vec<String>,
     /// Files found but not ingested, with the reason.
@@ -94,31 +67,6 @@ fn read_json(path: &Path) -> Result<JsonValue, TrendError> {
         msg: e.to_string(),
     })?;
     JsonValue::parse(&text).map_err(|e| parse_err(path, e))
-}
-
-fn num(v: &JsonValue, path: &Path, key: &str) -> Result<f64, TrendError> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .filter(|n| n.is_finite())
-        .ok_or_else(|| parse_err(path, format!("missing/invalid number {key:?}")))
-}
-
-fn uint(v: &JsonValue, path: &Path, key: &str) -> Result<u64, TrendError> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| parse_err(path, format!("missing/invalid integer {key:?}")))
-}
-
-fn string<'a>(v: &'a JsonValue, path: &Path, key: &str) -> Result<&'a str, TrendError> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| parse_err(path, format!("missing string {key:?}")))
-}
-
-fn samples<'a>(v: &'a JsonValue, path: &Path) -> Result<&'a [JsonValue], TrendError> {
-    v.get("samples")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| parse_err(path, "missing \"samples\" array"))
 }
 
 /// Candidate files: `BENCH_*.json` under `dir` and `dir/check`
@@ -166,38 +114,52 @@ fn scale_of(doc: &JsonValue) -> Option<f64> {
         .filter(|s| s.is_finite() && *s > 0.0)
 }
 
-/// Ingest every known artifact under `results_dir` into one snapshot.
+/// Ingest every artifact under `results_dir` written by one of
+/// `harnesses` into one snapshot.
 ///
-/// Errors if no benchmark file could be ingested at all; skipped files
-/// (scale mismatch, missing scale stamp, unknown bench tag) are noted
-/// but not fatal.
-pub fn ingest(results_dir: &Path) -> Result<Ingested, TrendError> {
-    let files = discover(results_dir);
-    // First pass: parse all candidates and establish the consensus scale.
-    let mut parsed: Vec<(PathBuf, JsonValue)> = Vec::new();
-    let mut skipped: Vec<String> = Vec::new();
-    for path in files {
-        match read_json(&path) {
-            Ok(doc) => parsed.push((path, doc)),
-            Err(e) => {
-                // A malformed artifact is a hard error: it means the
-                // producing job is broken, which the gate must surface.
-                return Err(e);
-            }
-        }
-    }
+/// Errors if no benchmark file could be ingested at all, or if a
+/// registered harness's file is malformed or unstamped; files at
+/// another scale or with an unknown bench tag are noted, not fatal.
+pub fn ingest(results_dir: &Path, harnesses: &[Harness]) -> Result<Ingested, TrendError> {
     let is_report = |path: &Path| path.file_name().is_some_and(|n| n == "check_report.json");
+    // First pass: parse all candidates (a malformed artifact is a hard
+    // error: it means the producing job is broken, which the gate must
+    // surface), drop foreign bench files, and vote on the scale.
+    let mut skipped: Vec<String> = Vec::new();
+    let mut parsed: Vec<(PathBuf, JsonValue, f64)> = Vec::new();
     let mut scale_votes: Vec<(f64, usize)> = Vec::new();
     let mut report_scale = None;
-    for (path, doc) in &parsed {
-        let Some(s) = scale_of(doc) else { continue };
-        if is_report(path) {
-            report_scale = Some(s);
+    for path in discover(results_dir) {
+        let doc = read_json(&path)?;
+        let label = file_label(&path, results_dir);
+        if !is_report(&path) {
+            let tag = doc
+                .get("bench")
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| parse_err(&path, "missing string \"bench\""))?;
+            if !harnesses.iter().any(|h| h.name == tag) {
+                skipped.push(format!("{label} (unknown bench tag {tag:?})"));
+                continue;
+            }
         }
-        match scale_votes.iter_mut().find(|(v, _)| *v == s) {
+        let Some(scale) = scale_of(&doc) else {
+            if is_report(&path) {
+                skipped.push(format!("{label} (no scale stamp)"));
+                continue;
+            }
+            return Err(parse_err(
+                &path,
+                "registered bench has no \"mcs_scale\" stamp",
+            ));
+        };
+        if is_report(&path) {
+            report_scale = Some(scale);
+        }
+        match scale_votes.iter_mut().find(|(v, _)| *v == scale) {
             Some((_, n)) => *n += 1,
-            None => scale_votes.push((s, 1)),
+            None => scale_votes.push((scale, 1)),
         }
+        parsed.push((path, doc, scale));
     }
     let consensus = scale_votes
         .iter()
@@ -210,213 +172,94 @@ pub fn ingest(results_dir: &Path) -> Result<Ingested, TrendError> {
             })
         })
         .map(|&(s, _)| s);
-    let Some(mcs_scale) = consensus else {
-        return Err(TrendError::NoInput {
-            dir: results_dir.display().to_string(),
-        });
+    let no_input = || TrendError::NoInput {
+        dir: results_dir.display().to_string(),
     };
+    let mcs_scale = consensus.ok_or_else(no_input)?;
 
     let mut out = Ingested {
         mcs_scale,
-        host_threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        host_threads: crate::host_threads(),
+        skipped,
         ..Default::default()
     };
-    let mut eq_xs_counters: Option<Counters> = None;
-    let mut report_xs_counters: Option<Counters> = None;
+    let mut report = None;
     let mut ingested_bench = false;
-
-    for (path, doc) in &parsed {
+    for (path, doc, scale) in &parsed {
         let label = file_label(path, results_dir);
-        match scale_of(doc) {
-            Some(s) if s == mcs_scale => {}
-            Some(s) => {
-                skipped.push(format!("{label} (scale {s} != consensus {mcs_scale})"));
-                continue;
-            }
-            None => {
-                skipped.push(format!("{label} (no scale stamp)"));
-                continue;
-            }
-        }
-        if is_report(path) {
-            if let Some(threads) = doc.get("threads").and_then(JsonValue::as_u64) {
-                out.host_threads = (threads as usize).max(1);
-            }
-            if let Some(c) = doc.get("counters") {
-                report_xs_counters = Some(Counters::from_value(c).map_err(|e| parse_err(path, e))?);
-            }
-            out.sources.push(label);
+        if *scale != mcs_scale {
+            out.skipped
+                .push(format!("{label} (scale {scale} != consensus {mcs_scale})"));
             continue;
         }
-        match string(doc, path, "bench")? {
-            "grid_backend" => {
-                ingest_grid(doc, path, &mut out)?;
-                ingested_bench = true;
-                out.sources.push(label);
-            }
-            "event_queueing" => {
-                ingest_eq(doc, path, &mut out)?;
-                if let Some(c) = doc.get("hash_material_energy_counters") {
-                    eq_xs_counters = Some(Counters::from_value(c).map_err(|e| parse_err(path, e))?);
-                }
-                ingested_bench = true;
-                out.sources.push(label);
-            }
-            "event_parallel" => {
-                ingest_ep(doc, path, &mut out)?;
-                ingested_bench = true;
-                out.sources.push(label);
-            }
-            "serve" => {
-                ingest_serve(doc, path, &mut out)?;
-                ingested_bench = true;
-                out.sources.push(label);
-            }
-            "geometry" => {
-                ingest_geometry(doc, path, &mut out)?;
-                ingested_bench = true;
-                out.sources.push(label);
-            }
-            "device" => {
-                ingest_device(doc, path, &mut out)?;
-                ingested_bench = true;
-                out.sources.push(label);
-            }
-            other => {
-                skipped.push(format!("{label} (unknown bench tag {other:?})"));
-            }
+        if is_report(path) {
+            report = Some((path, doc));
+        } else {
+            ingest_bench(doc, path, &mut out)?;
+            ingested_bench = true;
         }
+        out.sources.push(label);
     }
-
     if !ingested_bench {
-        return Err(TrendError::NoInput {
-            dir: results_dir.display().to_string(),
-        });
+        return Err(no_input());
     }
 
-    // The canonical `xs.*` set: the check report's surfaced counters
-    // when they ran at the consensus scale, else the event-queueing
-    // bench's own export of the same configuration.
-    if let Some(c) = report_xs_counters.or(eq_xs_counters) {
-        for (k, v) in c.iter() {
-            out.counters.insert(k.to_string(), v);
+    // The check report ran the same harnesses in one process: its host
+    // stamp and surfaced counters are authoritative at this scale.
+    if let Some((path, doc)) = report {
+        if let Some(threads) = doc.get("threads").and_then(JsonValue::as_u64) {
+            out.host_threads = (threads as usize).max(1);
         }
+        merge_counters(&mut out.counters, doc.get("counters"), path)?;
     }
-    out.skipped = skipped;
     Ok(out)
 }
 
-fn ingest_grid(doc: &JsonValue, path: &Path, out: &mut Ingested) -> Result<(), TrendError> {
-    for s in samples(doc, path)? {
-        let cell = GridCell {
-            backend: string(s, path, "backend")?.to_string(),
-            bank: uint(s, path, "bank")?,
-            rate: num(s, path, "lookups_per_second")?,
-            index_bytes: uint(s, path, "index_bytes")?,
+fn merge_counters(
+    into: &mut BTreeMap<String, u64>,
+    node: Option<&JsonValue>,
+    path: &Path,
+) -> Result<(), TrendError> {
+    if let Some(node) = node {
+        let counters = Counters::from_value(node).map_err(|e| parse_err(path, e))?;
+        into.extend(counters.iter().map(|(k, v)| (k.to_string(), v)));
+    }
+    Ok(())
+}
+
+/// Fold one `BENCH_<harness>.json` into the snapshot: its trend view,
+/// its exported counters, its host stamp and its table rows.
+fn ingest_bench(doc: &JsonValue, path: &Path, out: &mut Ingested) -> Result<(), TrendError> {
+    let missing = |what: &str| parse_err(path, format!("missing {what}"));
+    let trend = doc
+        .get("trend")
+        .ok_or_else(|| missing("\"trend\" object"))?;
+    let rates = trend
+        .get("rates")
+        .and_then(JsonValue::as_object)
+        .ok_or_else(|| missing("\"trend.rates\" object"))?;
+    for (key, v) in rates {
+        let rate = v
+            .as_f64()
+            .ok_or_else(|| parse_err(path, format!("rate {key:?} is not a number")))?;
+        out.rates.insert(key.clone(), rate);
+    }
+    merge_counters(&mut out.counters, doc.get("counters"), path)?;
+    merge_counters(&mut out.counters, trend.get("counters"), path)?;
+    if let Some(threads) = doc.get("host_threads").and_then(JsonValue::as_u64) {
+        out.host_threads = (threads as usize).max(1);
+    }
+    for table in doc
+        .get("tables")
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| missing("\"tables\" array"))?
+    {
+        let name = table.get("name").and_then(JsonValue::as_str);
+        let rows = table.get("rows").and_then(JsonValue::as_array);
+        let (Some(name), Some(rows)) = (name, rows) else {
+            return Err(missing("table \"name\" or \"rows\""));
         };
-        let key = format!("grid.{}.b{}", cell.backend, cell.bank);
-        out.rates.insert(key.clone(), cell.rate);
-        out.counters
-            .insert(format!("{key}.index_bytes"), cell.index_bytes);
-        out.grid_cells.push(cell);
-    }
-    Ok(())
-}
-
-fn ingest_eq(doc: &JsonValue, path: &Path, out: &mut Ingested) -> Result<(), TrendError> {
-    for s in samples(doc, path)? {
-        let cell = EqCell {
-            backend: string(s, path, "backend")?.to_string(),
-            mode: string(s, path, "mode")?.to_string(),
-            bank: uint(s, path, "bank")?,
-            rate: num(s, path, "particles_per_second")?,
-            lookups: uint(s, path, "lookups")?,
-            bin_scan_steps: uint(s, path, "bin_scan_steps")?,
-            gather_span_bytes: uint(s, path, "gather_span_bytes")?,
-            gather_span_pairs: uint(s, path, "gather_span_pairs")?,
-        };
-        let key = format!("eq.{}.{}.b{}", cell.backend, cell.mode, cell.bank);
-        out.rates.insert(key.clone(), cell.rate);
-        out.counters.insert(format!("{key}.lookups"), cell.lookups);
-        out.counters
-            .insert(format!("{key}.bin_scan_steps"), cell.bin_scan_steps);
-        out.counters
-            .insert(format!("{key}.gather_span_bytes"), cell.gather_span_bytes);
-        out.counters
-            .insert(format!("{key}.gather_span_pairs"), cell.gather_span_pairs);
-        out.eq_cells.push(cell);
-    }
-    Ok(())
-}
-
-fn ingest_ep(doc: &JsonValue, path: &Path, out: &mut Ingested) -> Result<(), TrendError> {
-    for s in samples(doc, path)? {
-        let bank = uint(s, path, "bank")?;
-        let threads = uint(s, path, "threads")?;
-        let rate = num(s, path, "particles_per_second")?;
-        out.rates.insert(format!("ep.t{threads}.b{bank}"), rate);
-    }
-    Ok(())
-}
-
-fn ingest_geometry(doc: &JsonValue, path: &Path, out: &mut Ingested) -> Result<(), TrendError> {
-    for s in samples(doc, path)? {
-        let model = string(s, path, "model")?;
-        let treatment = string(s, path, "treatment")?;
-        let bank = uint(s, path, "bank")?;
-        let key = format!("geom.{model}.{treatment}.b{bank}");
-        // Throughput is measured; the traversal work counters are
-        // deterministic at fixed scale and ride the hard counter gate.
-        out.rates
-            .insert(key.clone(), num(s, path, "particles_per_second")?);
-        out.counters
-            .insert(format!("{key}.finds"), uint(s, path, "finds")?);
-        out.counters
-            .insert(format!("{key}.find_steps"), uint(s, path, "find_steps")?);
-        out.counters.insert(
-            format!("{key}.surface_tests"),
-            uint(s, path, "surface_tests")?,
-        );
-    }
-    Ok(())
-}
-
-fn ingest_device(doc: &JsonValue, path: &Path, out: &mut Ingested) -> Result<(), TrendError> {
-    for s in samples(doc, path)? {
-        let model = string(s, path, "model")?;
-        let device = string(s, path, "device")?;
-        let transport = string(s, path, "transport")?;
-        // Device rates are MODELED (analytic pricing of deterministic
-        // counts): stable per scale, so drift means the machine model
-        // or the counts changed — exactly what the trend gate is for.
-        out.rates.insert(
-            format!("device.{model}.{device}.{transport}"),
-            num(s, path, "rate_modeled_n_per_s")?,
-        );
-    }
-    Ok(())
-}
-
-fn ingest_serve(doc: &JsonValue, path: &Path, out: &mut Ingested) -> Result<(), TrendError> {
-    for s in samples(doc, path)? {
-        let phase = string(s, path, "phase")?;
-        // Throughput is measured (host-sensitive → warn-band on
-        // 1-thread hosts); cold runs and rejects are deterministic at
-        // fixed scale, so they ride the hard counter gate. The
-        // hit/coalesce split is scheduling-dependent and deliberately
-        // NOT trended.
-        out.rates.insert(
-            format!("serve.{phase}.plans_per_s"),
-            num(s, path, "plans_per_second")?,
-        );
-        out.counters.insert(
-            format!("serve.{phase}.cold_runs"),
-            uint(s, path, "cold_runs")?,
-        );
-        out.counters
-            .insert(format!("serve.{phase}.rejects"), uint(s, path, "rejects")?);
+        out.tables.insert(name.to_string(), rows.to_vec());
     }
     Ok(())
 }

@@ -32,6 +32,8 @@ use std::path::PathBuf;
 
 use mcs_device::MachineSpec;
 
+use crate::harness::{Harness, HARNESSES};
+
 /// Everything that can go wrong in a trend run. All variants are
 /// recoverable `Err`s — the trend pipeline never panics on bad input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,6 +113,9 @@ pub struct TrendOptions {
     /// Whether to append the record (false = dry run: classify and
     /// report only).
     pub append: bool,
+    /// The harnesses whose `BENCH_<name>.json` files are ingested
+    /// ([`HARNESSES`] outside tests).
+    pub harnesses: &'static [Harness],
 }
 
 impl TrendOptions {
@@ -127,6 +132,7 @@ impl TrendOptions {
             reference_device: None,
             max_keep: 500,
             append: true,
+            harnesses: HARNESSES,
         }
     }
 }
@@ -148,7 +154,7 @@ pub struct TrendOutcome {
 /// Run the full trend pipeline: ingest → record → classify → roofline
 /// → report → (append).
 pub fn run(opts: &TrendOptions) -> Result<TrendOutcome, TrendError> {
-    let ing = ingest::ingest(&opts.results_dir)?;
+    let ing = ingest::ingest(&opts.results_dir, opts.harnesses)?;
 
     let record = TrendRecord {
         commit: opts.commit.clone(),

@@ -16,6 +16,7 @@
 //! no index) have no bandwidth ceiling and are skipped.
 
 use mcs_device::MachineSpec;
+use mcs_prof::JsonValue;
 
 use super::ingest::Ingested;
 
@@ -62,6 +63,33 @@ fn cell(
     })
 }
 
+/// One `BENCH_event_queueing` row, as far as the estimate needs it.
+struct EqCell<'a> {
+    backend: &'a str,
+    mode: &'a str,
+    bank: u64,
+    rate: f64,
+    lookups: u64,
+    gather_span_bytes: u64,
+}
+
+fn eq_cells(ing: &Ingested) -> Vec<EqCell<'_>> {
+    let rows = ing.tables.get("BENCH_event_queueing");
+    rows.into_iter()
+        .flatten()
+        .filter_map(|r| {
+            Some(EqCell {
+                backend: r.get("backend")?.as_str()?,
+                mode: r.get("mode")?.as_str()?,
+                bank: r.get("bank_size")?.as_u64()?,
+                rate: r.get("particles_measured_per_s")?.as_f64()?,
+                lookups: r.get("lookups")?.as_u64()?,
+                gather_span_bytes: r.get("gather_span_bytes")?.as_u64()?,
+            })
+        })
+        .collect()
+}
+
 /// Estimate percent-of-roofline for every cell with priced traffic.
 ///
 /// Event-queueing cells carry their own span counters. Grid-backend
@@ -71,9 +99,10 @@ fn cell(
 /// backend moves.
 pub fn estimate(ing: &Ingested, spec: &MachineSpec) -> Vec<RooflineCell> {
     let mut out = Vec::new();
+    let eq = eq_cells(ing);
 
     // Event-queueing: bytes per particle, directly from the cell.
-    for c in &ing.eq_cells {
+    for c in &eq {
         let bytes_per_particle = c.gather_span_bytes as f64 / (c.bank as f64).max(1.0);
         out.extend(cell(
             "event_queueing",
@@ -87,19 +116,24 @@ pub fn estimate(ing: &Ingested, spec: &MachineSpec) -> Vec<RooflineCell> {
 
     // Grid-backend: bytes per lookup, borrowed from the same backend's
     // unqueued event-queueing cell at the largest bank.
-    for g in &ing.grid_cells {
-        let donor = ing
-            .eq_cells
+    for g in ing.tables.get("BENCH_grid_backend").into_iter().flatten() {
+        let backend = g.get("backend").and_then(JsonValue::as_str);
+        let bank = g.get("bank_size").and_then(JsonValue::as_u64);
+        let rate = g.get("lookups_measured_per_s").and_then(JsonValue::as_f64);
+        let (Some(backend), Some(bank), Some(rate)) = (backend, bank, rate) else {
+            continue;
+        };
+        let donor = eq
             .iter()
-            .filter(|c| c.backend == g.backend && c.mode == "off" && c.lookups > 0)
+            .filter(|c| c.backend == backend && c.mode == "off" && c.lookups > 0)
             .max_by_key(|c| c.bank);
         let Some(donor) = donor else { continue };
         let bytes_per_lookup = donor.gather_span_bytes as f64 / donor.lookups as f64;
         out.extend(cell(
             "grid_backend",
-            format!("grid.{}.b{}", g.backend, g.bank),
+            format!("grid.{backend}.b{bank}"),
             "lookups/s",
-            g.rate,
+            rate,
             bytes_per_lookup,
             spec,
         ));
@@ -110,50 +144,49 @@ pub fn estimate(ing: &Ingested, spec: &MachineSpec) -> Vec<RooflineCell> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trend::ingest::{EqCell, GridCell};
+
+    fn row(members: &[(&str, JsonValue)]) -> JsonValue {
+        JsonValue::object(members.iter().cloned())
+    }
+
+    fn eq_row(backend: &str, lookups: f64, span_bytes: f64) -> JsonValue {
+        row(&[
+            ("backend", JsonValue::Str(backend.into())),
+            ("mode", JsonValue::Str("off".into())),
+            ("bank_size", JsonValue::Num(10_000.0)),
+            ("particles_measured_per_s", JsonValue::Num(27_532.0)),
+            ("lookups", JsonValue::Num(lookups)),
+            ("gather_span_bytes", JsonValue::Num(span_bytes)),
+        ])
+    }
+
+    fn grid_row(backend: &str, rate: f64) -> JsonValue {
+        row(&[
+            ("backend", JsonValue::Str(backend.into())),
+            ("bank_size", JsonValue::Num(100_000.0)),
+            ("lookups_measured_per_s", JsonValue::Num(rate)),
+        ])
+    }
 
     fn ing() -> Ingested {
-        Ingested {
+        let mut ing = Ingested {
             mcs_scale: 1.0,
             host_threads: 4,
-            eq_cells: vec![
-                EqCell {
-                    backend: "hash".into(),
-                    mode: "off".into(),
-                    bank: 10_000,
-                    rate: 27_532.0,
-                    lookups: 585_733,
-                    bin_scan_steps: 1_000_000,
-                    gather_span_bytes: 11_600_000,
-                    gather_span_pairs: 580_000,
-                },
-                EqCell {
-                    backend: "binary".into(),
-                    mode: "off".into(),
-                    bank: 10_000,
-                    rate: 27_532.0,
-                    lookups: 585_733,
-                    bin_scan_steps: 0,
-                    gather_span_bytes: 0, // no index ⇒ no priced traffic
-                    gather_span_pairs: 0,
-                },
-            ],
-            grid_cells: vec![
-                GridCell {
-                    backend: "hash".into(),
-                    bank: 100_000,
-                    rate: 896_429.9,
-                    index_bytes: 375_592,
-                },
-                GridCell {
-                    backend: "binary".into(),
-                    bank: 100_000,
-                    rate: 486_363.1,
-                    index_bytes: 0,
-                },
-            ],
             ..Default::default()
-        }
+        };
+        ing.tables.insert(
+            "BENCH_event_queueing".into(),
+            vec![
+                eq_row("hash", 585_733.0, 11_600_000.0),
+                // no index ⇒ no priced traffic
+                eq_row("binary", 585_733.0, 0.0),
+            ],
+        );
+        ing.tables.insert(
+            "BENCH_grid_backend".into(),
+            vec![grid_row("hash", 896_429.9), grid_row("binary", 486_363.1)],
+        );
+        ing
     }
 
     #[test]

@@ -7,6 +7,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use mcs_bench::harness::{Column, Fmt, HarnessRun, Table};
 use mcs_bench::trend::{self, history, record::TrendRecord, report, TrendError, TrendOptions};
 use proptest::prelude::*;
 
@@ -18,33 +19,71 @@ fn scratch(tag: &str) -> PathBuf {
     d
 }
 
+/// Write one harness's result files the way `mcs-bench run` does.
+fn write_bench(dir: &Path, harness: &'static str, table: Table) {
+    HarnessRun {
+        harness,
+        scale: 0.1,
+        tables: vec![table],
+        ..Default::default()
+    }
+    .write(dir)
+    .unwrap();
+}
+
 /// Write a minimal but complete synthetic results directory whose grid
 /// rates are scaled by `rate_factor` (1.0 = the healthy baseline).
 fn write_results(dir: &Path, rate_factor: f64) {
-    let grid_rate = 900_000.0 * rate_factor;
-    let eq_rate = 27_000.0 * rate_factor;
-    fs::write(
-        dir.join("BENCH_grid_backend.json"),
-        format!(
-            "{{\"bench\": \"grid_backend\", \"mcs_scale\": 0.1, \"samples\": [\n\
-             {{\"backend\": \"hash\", \"bank\": 10000, \"lookups_per_second\": {grid_rate}, \
-             \"index_bytes\": 375592}},\n\
-             {{\"backend\": \"binary\", \"bank\": 10000, \"lookups_per_second\": 480000.0, \
-             \"index_bytes\": 0}}\n]}}\n"
-        ),
+    let mut grid = Table::new(
+        "BENCH_grid_backend",
+        vec![
+            Column::key("backend"),
+            Column::key("bank_size").prefixed("b"),
+            Column::measured("lookups_measured_per_s", Fmt::Fixed(1)).trended(),
+            Column::exact("index_bytes", Fmt::Plain).trended(),
+        ],
     )
-    .unwrap();
-    fs::write(
-        dir.join("BENCH_event_queueing.json"),
-        format!(
-            "{{\"bench\": \"event_queueing\", \"mcs_scale\": 0.1, \"samples\": [\n\
-             {{\"backend\": \"hash\", \"mode\": \"off\", \"bank\": 10000, \
-             \"particles_per_second\": {eq_rate}, \"lookups\": 585733, \
-             \"bin_scan_steps\": 110751, \"gather_span_bytes\": 11600000, \
-             \"gather_span_pairs\": 57125}}\n]}}\n"
-        ),
+    .trended("grid");
+    grid.push(vec![
+        "hash".into(),
+        10_000usize.into(),
+        (900_000.0 * rate_factor).into(),
+        375_592u64.into(),
+    ]);
+    grid.push(vec![
+        "binary".into(),
+        10_000usize.into(),
+        480_000.0.into(),
+        0u64.into(),
+    ]);
+    write_bench(dir, "grid_backend", grid);
+
+    let mut eq = Table::new(
+        "BENCH_event_queueing",
+        vec![
+            Column::key("backend"),
+            Column::key("mode"),
+            Column::key("bank_size").prefixed("b"),
+            Column::measured("particles_measured_per_s", Fmt::Fixed(1)).trended(),
+            Column::counter("lookups").trended(),
+            Column::counter("bin_scan_steps").trended(),
+            Column::counter("gather_span_bytes").trended(),
+            Column::counter("gather_span_pairs").trended(),
+        ],
     )
-    .unwrap();
+    .trended("eq");
+    eq.push(vec![
+        "hash".into(),
+        "off".into(),
+        10_000usize.into(),
+        (27_000.0 * rate_factor).into(),
+        585_733u64.into(),
+        110_751u64.into(),
+        11_600_000u64.into(),
+        57_125u64.into(),
+    ]);
+    write_bench(dir, "event_queueing", eq);
+
     // check_report stamps a multi-thread host so rate regressions gate.
     fs::write(
         dir.join("check_report.json"),
@@ -188,6 +227,47 @@ fn truncated_history_is_a_hard_err_not_a_panic() {
     match trend::run(&opts(&results, &hist, "c1", 2)) {
         Err(TrendError::Corrupt { .. }) => {}
         other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+fn unstamped_registered_bench_is_a_hard_err_and_a_foreign_tag_a_note() {
+    let d = scratch("stamp");
+    let results = d.join("results");
+    let hist = d.join("trend");
+    fs::create_dir_all(&results).unwrap();
+    write_results(&results, 1.0);
+
+    // A file no registered harness owns is skipped with a note, whether
+    // or not it is stamped.
+    fs::write(
+        results.join("BENCH_foreign.json"),
+        "{\"bench\": \"foreign\", \"samples\": []}\n",
+    )
+    .unwrap();
+    let out = trend::run(&opts(&results, &hist, "c0", 1)).unwrap();
+    assert!(
+        out.report
+            .skipped
+            .iter()
+            .any(|s| s.contains("BENCH_foreign.json") && s.contains("unknown bench tag")),
+        "{:?}",
+        out.report.skipped
+    );
+    assert!(out.record.rates.contains_key("grid.hash.b10000"));
+
+    // A registered harness's file that lost its scale stamp must not be
+    // skipped: that would silently un-gate the benchmark.
+    let path = results.join("BENCH_grid_backend.json");
+    let text = fs::read_to_string(&path).unwrap();
+    assert!(text.contains("\"mcs_scale\": 0.1,"), "{text}");
+    fs::write(&path, text.replace("\"mcs_scale\": 0.1,", "")).unwrap();
+    match trend::run(&opts(&results, &hist, "c1", 2)) {
+        Err(TrendError::Parse { file, msg }) => {
+            assert!(file.contains("BENCH_grid_backend.json"), "{file}");
+            assert!(msg.contains("mcs_scale"), "{msg}");
+        }
+        other => panic!("expected a Parse error, got {other:?}"),
     }
 }
 

@@ -1,22 +1,25 @@
-//! Golden-CSV comparison with per-column tolerance policies.
+//! Golden-CSV comparison, judged by each table's column kinds.
 //!
 //! Goldens live in `results/golden/` and are regenerated with
 //! `cargo run -p mcs-check -- --bless` (or `MCS_BLESS=1`). A golden is
 //! compared at the SAME `MCS_SCALE` it was blessed at — the committed
 //! set is blessed at the default check scale.
 //!
-//! Columns fall into three classes, reflecting the repo's MEASURED vs
-//! MODELED split:
+//! What a cell must satisfy follows from the [`Kind`] its harness
+//! declared for it ([`ColumnPolicy::of`]), reflecting the repo's
+//! MEASURED vs MODELED split:
 //!
-//! * key columns (bank sizes, node counts, row labels) — exact match;
+//! * key and exact columns (bank sizes, row labels, pure counting) —
+//!   byte-for-byte;
 //! * MEASURED wall-time/rate columns — host-dependent noise, so the only
 //!   stable property is positivity;
-//! * MODELED columns (machine-model pricing of deterministic counts) —
-//!   compared with a small relative tolerance, because the scalar CI leg
-//!   (no `-C target-cpu=native`) may contract floating point differently
+//! * MODELED columns and deterministic counters — compared with a small
+//!   relative tolerance, because the scalar CI leg (no
+//!   `-C target-cpu=native`) may contract floating point differently
 //!   and shift a transport branch, perturbing counts well under 1%.
 
-use mcs_bench::harness::Artifact;
+use mcs_bench::harness::table::COUNTER_TOL;
+use mcs_bench::harness::{Kind, Table};
 
 /// How one CSV cell is compared against its golden counterpart.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,107 +33,15 @@ pub enum ColumnPolicy {
     Rel(f64),
 }
 
-/// Per-cell policy table for every artifact the harnesses emit.
-///
-/// `row_key` is the first cell of the row, which distinguishes the
-/// measured from the modeled rows in the mixed tables (Table I, Fig. 8).
-pub fn policy(artifact: &str, column: &str, row_key: &str) -> ColumnPolicy {
-    use ColumnPolicy::*;
-    match artifact {
-        "fig1_u238_total_xs" => match column {
-            "energy_mev" => Rel(1e-9),
-            _ => Rel(1e-6),
-        },
-        "fig2_lookup_rates" => match column {
-            "bank_size" => Exact,
-            c if c.ends_with("_measured_per_s") => Positive,
-            _ => Rel(0.02),
-        },
-        "fig3_offload_asymptotics" | "futurework_adaptive" => match column {
-            "particles" | "batch" => Exact,
-            _ => Rel(0.02),
-        },
-        "fig4_profile_compare" => match column {
-            "routine" => Exact,
-            _ => Rel(0.02),
-        },
-        "fig5_calc_rates" => match column {
-            "particles" | "batch_kind" => Exact,
-            _ => Rel(0.02),
-        },
-        "fig6_strong_scaling" => match column {
-            "curve" | "nodes" => Exact,
-            _ => Rel(0.02),
-        },
-        "fig7_weak_scaling" => match column {
-            "nodes" => Exact,
-            _ => Rel(0.02),
-        },
-        "fig8_rsbench" | "table1_distance_sampling" => match column {
-            "row" => Exact,
-            _ if row_key.contains("modeled") => Rel(0.02),
-            _ => Positive,
-        },
-        "futurework_energy" => match column {
-            "configuration" => Exact,
-            _ => Rel(0.02),
-        },
-        "table2_offload_overhead" => match column {
-            "operation" => Exact,
-            _ => Rel(0.02),
-        },
-        "table3_symmetric_balance" => match column {
-            "hardware" => Exact,
-            _ => Rel(0.02),
-        },
-        "BENCH_grid_backend" => match column {
-            "backend" | "bank_size" | "index_bytes" => Exact,
-            c if c.ends_with("_measured_per_s") => Positive,
-            // The checksum is a deterministic float reduction, identical
-            // across hosts up to print precision.
-            "checksum" => Rel(1e-9),
-            _ => Rel(0.02),
-        },
-        "BENCH_event_queueing" => match column {
-            "backend" | "mode" | "bank_size" => Exact,
-            c if c.ends_with("_measured_per_s") => Positive,
-            // k is a deterministic float reduction; the lookup/scan/span
-            // counts are deterministic per leg but a scalar-leg FP
-            // contraction can shift a transport branch and perturb them
-            // well under 1%.
-            "k_track" => Rel(1e-9),
-            _ => Rel(0.02),
-        },
-        "BENCH_geometry" => match column {
-            "model" | "treatment" | "bank_size" => Exact,
-            c if c.ends_with("_measured_per_s") => Positive,
-            // k is a deterministic float reduction; the traversal-work
-            // counters are deterministic per leg but a scalar-leg FP
-            // contraction can shift a transport branch and perturb them
-            // well under 1%.
-            "k_track" => Rel(1e-9),
-            _ => Rel(0.02),
-        },
-        "BENCH_serve" => match column {
-            // Pure counting, no FP: exact on every host and ISA leg.
-            // The throughput and latency quantiles are wall-clock
-            // measurements — any positive finite value passes.
-            "phase" | "submissions" | "unique_plans" | "served_saved" | "cold_runs" | "rejects" => {
-                Exact
-            }
-            _ => Positive,
-        },
-        "BENCH_device" => match column {
-            "model" | "device" | "class" | "transport" => Exact,
-            // Pure analytic arithmetic rounded to two decimals — no
-            // transport branches involved, byte-stable across ISA legs.
-            "calibration_ratio" | "in_band" => Exact,
-            // Modeled rates: reference rows are analytic, smr rows price
-            // deterministic transport counts that a scalar-leg FP
-            // contraction can perturb well under 1%.
-            _ => Rel(0.02),
-        },
-        _ => Rel(0.02),
+impl ColumnPolicy {
+    /// The comparison a cell of `kind` gets.
+    pub fn of(kind: Kind) -> ColumnPolicy {
+        match kind {
+            Kind::Key | Kind::Exact => ColumnPolicy::Exact,
+            Kind::Measured => ColumnPolicy::Positive,
+            Kind::Modeled(tol) => ColumnPolicy::Rel(tol),
+            Kind::Counter => ColumnPolicy::Rel(COUNTER_TOL),
+        }
     }
 }
 
@@ -141,18 +52,6 @@ pub struct GoldenOutcome {
     pub passed: bool,
     /// `"N rows, worst rel err E"` on pass; first mismatch on fail.
     pub detail: String,
-}
-
-/// Render an artifact exactly as `mcs_bench::write_csv` does.
-pub fn render_csv(a: &Artifact) -> String {
-    let mut s = String::new();
-    s.push_str(&a.columns.join(","));
-    s.push('\n');
-    for row in &a.rows {
-        s.push_str(&row.join(","));
-        s.push('\n');
-    }
-    s
 }
 
 fn parse_csv(text: &str) -> (Vec<String>, Vec<Vec<String>>) {
@@ -226,125 +125,127 @@ fn cell_matches(policy: ColumnPolicy, fresh: &str, gold: &str) -> Result<f64, St
     }
 }
 
-/// Compare a freshly produced artifact against golden CSV text.
-pub fn compare(artifact: &Artifact, golden_text: &str) -> GoldenOutcome {
-    let name = artifact.name.to_string();
+/// Compare a freshly produced table against golden CSV text.
+pub fn compare(table: &Table, golden_text: &str) -> GoldenOutcome {
+    let outcome = |passed, detail| GoldenOutcome {
+        artifact: table.name.to_string(),
+        passed,
+        detail,
+    };
     let (gold_header, gold_rows) = parse_csv(golden_text);
-    if gold_header != artifact.columns {
-        return GoldenOutcome {
-            artifact: name,
-            passed: false,
-            detail: format!(
-                "header changed: golden {:?} vs fresh {:?}",
-                gold_header, artifact.columns
-            ),
-        };
+    let header: Vec<&str> = table.columns.iter().map(|c| c.name).collect();
+    if gold_header != header {
+        return outcome(
+            false,
+            format!("header changed: golden {gold_header:?} vs fresh {header:?}"),
+        );
     }
-    if gold_rows.len() != artifact.rows.len() {
-        return GoldenOutcome {
-            artifact: name,
-            passed: false,
-            detail: format!(
+    if gold_rows.len() != table.rows.len() {
+        return outcome(
+            false,
+            format!(
                 "row count changed: golden {} vs fresh {}",
                 gold_rows.len(),
-                artifact.rows.len()
+                table.rows.len()
             ),
-        };
+        );
     }
     let mut worst = 0.0f64;
-    for (ri, (fresh_row, gold_row)) in artifact.rows.iter().zip(&gold_rows).enumerate() {
-        if fresh_row.len() != gold_row.len() {
-            return GoldenOutcome {
-                artifact: name,
-                passed: false,
-                detail: format!("row {ri}: cell count changed"),
-            };
+    for (ri, gold_row) in gold_rows.iter().enumerate() {
+        if gold_row.len() != header.len() {
+            return outcome(false, format!("row {ri}: cell count changed"));
         }
-        let key = fresh_row.first().map(String::as_str).unwrap_or("");
-        for (ci, (fresh, gold)) in fresh_row.iter().zip(gold_row).enumerate() {
-            let col = artifact.columns[ci];
-            match cell_matches(policy(artifact.name, col, key), fresh, gold) {
+        let key = table.cell_text(ri, 0);
+        for (ci, gold) in gold_row.iter().enumerate() {
+            let policy = ColumnPolicy::of(table.kind_at(ri, ci));
+            match cell_matches(policy, &table.cell_text(ri, ci), gold) {
                 Ok(rel) => worst = worst.max(rel),
                 Err(why) => {
-                    return GoldenOutcome {
-                        artifact: name,
-                        passed: false,
-                        detail: format!("row {ri} ({key}), column {col}: {why}"),
-                    }
+                    return outcome(
+                        false,
+                        format!("row {ri} ({key}), column {}: {why}", header[ci]),
+                    )
                 }
             }
         }
     }
-    GoldenOutcome {
-        artifact: name,
-        passed: true,
-        detail: format!("{} rows, worst rel err {:.3e}", artifact.rows.len(), worst),
-    }
+    outcome(
+        true,
+        format!("{} rows, worst rel err {:.3e}", table.rows.len(), worst),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcs_bench::harness::{Column, Fmt, Value};
 
-    fn artifact() -> Artifact {
-        Artifact {
-            name: "table3_symmetric_balance",
-            columns: vec!["hardware", "original_rate", "balanced_rate", "ideal_rate"],
-            rows: vec![
-                vec![
-                    "CPU only".into(),
-                    "13667".into(),
-                    "N/A".into(),
-                    "13667".into(),
-                ],
-                vec![
-                    "CPU + MIC".into(),
-                    "27334".into(),
-                    "34341".into(),
-                    "34342".into(),
-                ],
-            ],
+    /// A text-celled table: `columns[0]` is the key, the rest `data`.
+    fn table(name: &'static str, data: Kind, columns: &[&'static str], rows: &[&[&str]]) -> Table {
+        let mut columns = columns.iter();
+        let mut decl = vec![Column::key(columns.next().unwrap())];
+        decl.extend(columns.map(|name| Column {
+            kind: data,
+            ..Column::exact(name, Fmt::Plain)
+        }));
+        let mut t = Table::new(name, decl);
+        for row in rows {
+            t.push(row.iter().map(|&c| Value::from(c)).collect());
         }
+        t
+    }
+
+    fn rates() -> Table {
+        table(
+            "rates",
+            Kind::Modeled(0.02),
+            &["hardware", "original_rate", "balanced_rate", "ideal_rate"],
+            &[
+                &["CPU only", "13667", "N/A", "13667"],
+                &["CPU + MIC", "27334", "34341", "34342"],
+            ],
+        )
     }
 
     #[test]
     fn identical_csv_passes() {
-        let a = artifact();
-        let out = compare(&a, &render_csv(&a));
+        let a = rates();
+        let out = compare(&a, &a.to_csv());
         assert!(out.passed, "{}", out.detail);
     }
 
     #[test]
     fn within_tolerance_passes_outside_fails() {
-        let a = artifact();
+        let a = rates();
         let mut nudged = a.clone();
-        nudged.rows[1][1] = "27500".into(); // +0.6% < 2%
-        assert!(compare(&nudged, &render_csv(&a)).passed);
-        nudged.rows[1][1] = "30000".into(); // +9.8% > 2%
-        let out = compare(&nudged, &render_csv(&a));
+        nudged.rows[1].cells[1] = "27500".into(); // +0.6% < 2%
+        assert!(compare(&nudged, &a.to_csv()).passed);
+        nudged.rows[1].cells[1] = "30000".into(); // +9.8% > 2%
+        let out = compare(&nudged, &a.to_csv());
         assert!(!out.passed);
         assert!(out.detail.contains("original_rate"), "{}", out.detail);
     }
 
     #[test]
     fn key_and_sentinel_cells_are_exact() {
-        let a = artifact();
+        let a = rates();
         let mut renamed = a.clone();
-        renamed.rows[0][0] = "GPU only".into();
-        assert!(!compare(&renamed, &render_csv(&a)).passed);
+        renamed.rows[0].cells[0] = "GPU only".into();
+        assert!(!compare(&renamed, &a.to_csv()).passed);
         let mut filled = a.clone();
-        filled.rows[0][2] = "1.0".into(); // N/A -> number
-        assert!(!compare(&filled, &render_csv(&a)).passed);
+        filled.rows[0].cells[2] = "1.0".into(); // N/A -> number
+        assert!(!compare(&filled, &a.to_csv()).passed);
     }
 
     #[test]
     fn unit_suffix_change_fails() {
         let gold = "operation,hm_small,hm_large\nxfer,999.0 ms,2.2 s\n";
-        let fresh = Artifact {
-            name: "table2_offload_overhead",
-            columns: vec!["operation", "hm_small", "hm_large"],
-            rows: vec![vec!["xfer".into(), "1.0 s".into(), "2.2 s".into()]],
-        };
+        let fresh = table(
+            "quantities",
+            Kind::Modeled(0.02),
+            &["operation", "hm_small", "hm_large"],
+            &[&["xfer", "1.0 s", "2.2 s"]],
+        );
         let out = compare(&fresh, gold);
         assert!(!out.passed);
         assert!(out.detail.contains("unit changed"), "{}", out.detail);
@@ -353,30 +254,27 @@ mod tests {
     #[test]
     fn measured_columns_only_require_positivity() {
         let gold = "row,naive_s,opt1_s,opt2_s\nhost_measured,0.5,0.4,0.3\n";
-        let fresh = Artifact {
-            name: "table1_distance_sampling",
-            columns: vec!["row", "naive_s", "opt1_s", "opt2_s"],
-            rows: vec![vec![
-                "host_measured".into(),
-                "5.0".into(), // 10x the golden: fine, it's a measurement
-                "0.1".into(),
-                "0.2".into(),
-            ]],
-        };
+        // 10x the golden: fine, it's a measurement.
+        let fresh = table(
+            "timings",
+            Kind::Measured,
+            &["row", "naive_s", "opt1_s", "opt2_s"],
+            &[&["host_measured", "5.0", "0.1", "0.2"]],
+        );
         assert!(compare(&fresh, gold).passed);
         let mut bad = fresh.clone();
-        bad.rows[0][1] = "-1.0".into();
+        bad.rows[0].cells[1] = "-1.0".into();
         assert!(!compare(&bad, gold).passed);
     }
 
     #[test]
     fn shape_changes_fail() {
-        let a = artifact();
+        let a = rates();
         let mut short = a.clone();
         short.rows.pop();
-        assert!(!compare(&short, &render_csv(&a)).passed);
+        assert!(!compare(&short, &a.to_csv()).passed);
         let mut reheaded = a.clone();
-        reheaded.columns[1] = "orig_rate";
-        assert!(!compare(&reheaded, &render_csv(&a)).passed);
+        reheaded.columns[1].name = "orig_rate";
+        assert!(!compare(&reheaded, &a.to_csv()).passed);
     }
 }

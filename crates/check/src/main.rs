@@ -1,10 +1,13 @@
 //! The check runner: `cargo run --release -p mcs-check [-- --bless] [-- -v]`.
 //!
 //! Environment:
-//! * `MCS_SCALE`       — workload scale (default [`mcs_check::DEFAULT_SCALE`]);
-//! * `MCS_RESULTS_DIR` — where `check_report.json` and `check/*.csv` go
-//!   (default `results/`);
-//! * `MCS_GOLDEN_DIR`  — blessed goldens (default `results/golden/`);
+//! * `MCS_SCALE`       — workload scale (default [`mcs_check::DEFAULT_SCALE`];
+//!   anything but a positive number is an error);
+//! * `MCS_RESULTS_DIR` — where `check_report.json` and `check/` (the
+//!   fresh CSVs and `BENCH_*.json`) go (default: the workspace's
+//!   `results/`);
+//! * `MCS_GOLDEN_DIR`  — blessed goldens (default: the workspace's
+//!   `results/golden/`);
 //! * `MCS_BLESS`       — same as `--bless`: regenerate the goldens.
 //!
 //! Exit status is non-zero if any invariant or golden comparison fails.
@@ -13,173 +16,65 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use mcs_bench::harness::{
-    device_catalog, event_queueing, fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, futurework,
-    geometry, grid_backend, serve_load, table1, table2, table3, Artifact,
-};
-use mcs_check::invariants as inv;
+use mcs_bench::harness::{Table, HARNESSES};
 use mcs_check::{golden, CheckReport, GoldenOutcome};
-
-fn env_path(key: &str, default: &str) -> PathBuf {
-    PathBuf::from(std::env::var(key).unwrap_or_else(|_| default.to_string()))
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let bless = args.iter().any(|a| a == "--bless") || std::env::var("MCS_BLESS").is_ok();
     let verbose = args.iter().any(|a| a == "--verbose" || a == "-v");
-    let scale = std::env::var("MCS_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(mcs_check::DEFAULT_SCALE);
-    let results_dir = env_path("MCS_RESULTS_DIR", "results");
-    let golden_dir = env_path("MCS_GOLDEN_DIR", "results/golden");
+    let scale = mcs_bench::scale_from_env(mcs_check::DEFAULT_SCALE).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    let results_dir = mcs_bench::results_dir();
+    let golden_dir = std::env::var_os("MCS_GOLDEN_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| mcs_bench::workspace_root().join("results/golden"));
 
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let threads = mcs_bench::host_threads();
     let mut report = CheckReport {
         scale,
         threads,
         ..Default::default()
     };
-    let mut artifacts: Vec<Artifact> = Vec::new();
-    let mut profile_json: Option<String> = None;
+    let mut tables: Vec<Table> = Vec::new();
 
     println!("mcs-check: scale {scale}, {threads} threads, bless: {bless}");
     let t_all = Instant::now();
 
-    // Every harness, in figure/table order. Each contributes its typed
-    // result to the invariant set and its CSV to the golden comparison.
-    let mut step = |name: &str, f: &mut dyn FnMut(&mut CheckReport, &mut Vec<Artifact>)| {
-        let t0 = Instant::now();
-        f(&mut report, &mut artifacts);
-        println!("  [{name:>10}] done in {:.2}s", t0.elapsed().as_secs_f64());
-    };
-
-    step("fig1", &mut |rep, arts| {
-        let r = fig1::run(scale, verbose);
-        rep.invariants.extend(inv::check_fig1(&r));
-        arts.push(r.artifact);
-    });
-    step("fig2", &mut |rep, arts| {
-        let r = fig2::run(scale, verbose);
-        rep.invariants.extend(inv::check_fig2(&r, threads));
-        arts.push(r.artifact);
-    });
-    step("fig3", &mut |rep, arts| {
-        let r = fig3::run(scale, verbose);
-        rep.invariants.extend(inv::check_fig3(&r));
-        arts.push(r.artifact);
-    });
-    step("fig4", &mut |rep, arts| {
-        let r = fig4::run(scale, verbose);
-        rep.invariants.extend(inv::check_fig4(&r));
-        profile_json = Some(r.host_profile.to_json());
-        arts.push(r.artifact);
-    });
-    step("fig5", &mut |rep, arts| {
-        let r = fig5::run(scale, verbose);
-        rep.invariants.extend(inv::check_fig5(&r));
-        arts.push(r.artifact);
-    });
-    step("fig6", &mut |rep, arts| {
-        let r = fig6::run(scale, verbose);
-        rep.invariants.extend(inv::check_fig6(&r));
-        arts.push(r.artifact);
-    });
-    step("fig7", &mut |rep, arts| {
-        let r = fig7::run(scale, verbose);
-        rep.invariants.extend(inv::check_fig7(&r));
-        arts.push(r.artifact);
-    });
-    step("fig8", &mut |rep, arts| {
-        let r = fig8::run(scale, verbose);
-        rep.invariants.extend(inv::check_fig8(&r, scale));
-        arts.push(r.artifact);
-    });
-    step("table1", &mut |rep, arts| {
-        let r = table1::run(scale, verbose);
-        rep.invariants.extend(inv::check_table1(&r, scale));
-        arts.push(r.artifact);
-    });
-    step("table2", &mut |rep, arts| {
-        let r = table2::run(scale, verbose);
-        rep.invariants.extend(inv::check_table2(&r));
-        arts.push(r.artifact);
-    });
-    step("table3", &mut |rep, arts| {
-        let r = table3::run(scale, verbose);
-        rep.invariants.extend(inv::check_table3(&r));
-        arts.push(r.artifact);
-    });
-    step("futurework", &mut |rep, arts| {
-        let r = futurework::run(scale, verbose);
-        rep.invariants.extend(inv::check_futurework(&r));
-        arts.extend(r.artifacts);
-    });
-    step("eigenvalue", &mut |rep, _| {
-        rep.invariants.extend(inv::check_event_history_keff(scale));
-    });
-    step("gridback", &mut |rep, arts| {
-        let r = grid_backend::run(scale, verbose);
-        rep.invariants.extend(inv::check_grid_backend(&r));
-        arts.push(r.artifact);
-    });
-    step("eventqueue", &mut |rep, arts| {
-        let r = event_queueing::run(scale, verbose);
-        rep.invariants.extend(inv::check_event_queueing(&r));
-        rep.counters = r.counters.clone();
-        arts.push(r.artifact);
-    });
-    step("geometry", &mut |rep, arts| {
-        let r = geometry::run(scale, verbose);
-        rep.invariants.extend(inv::check_geometry(&r));
-        // geom.* traversal counters ride alongside the xs.* set.
-        rep.counters.extend(r.counters.clone());
-        arts.push(r.artifact);
-    });
-    step("serve", &mut |rep, arts| {
-        let r = serve_load::run(scale, verbose);
-        rep.invariants.extend(inv::check_serve(&r));
-        arts.push(r.artifact);
-    });
-    step("device", &mut |rep, arts| {
-        let r = device_catalog::run(scale, verbose);
-        rep.invariants.extend(inv::check_device(&r));
-        arts.push(r.artifact);
-    });
-
-    // Fresh CSVs go under results/check/ so a CI artifact upload always
-    // carries what this run actually produced (never clobbering the
-    // committed full-scale results/*.csv).
+    // Every registered harness, in registry order. Each contributes its
+    // invariants and exported counters to the report and its tables to
+    // the golden comparison. The fresh CSVs and BENCH_<name>.json go
+    // under results/check/ so a CI artifact upload always carries what
+    // this run actually produced (never clobbering the committed
+    // full-scale results/), and the trend gate finds them there.
     let check_dir = results_dir.join("check");
-    fs::create_dir_all(&check_dir).expect("create results/check");
-    for a in &artifacts {
-        fs::write(
-            check_dir.join(format!("{}.csv", a.name)),
-            golden::render_csv(a),
-        )
-        .expect("write check csv");
-    }
-    if let Some(j) = &profile_json {
-        fs::write(check_dir.join("fig4_host_profile.json"), j).expect("write profile json");
+    for h in HARNESSES {
+        let t0 = Instant::now();
+        let out = h.execute(scale, verbose);
+        out.write(&check_dir).expect("write results/check");
+        report.invariants.extend(out.invariants);
+        report.counters.extend(out.counters);
+        tables.extend(out.tables);
+        println!(
+            "  [{:>14}] done in {:.2}s",
+            h.name,
+            t0.elapsed().as_secs_f64()
+        );
     }
 
     if bless {
         fs::create_dir_all(&golden_dir).expect("create golden dir");
-        for a in &artifacts {
-            fs::write(
-                golden_dir.join(format!("{}.csv", a.name)),
-                golden::render_csv(a),
-            )
-            .expect("write golden csv");
+        for t in &tables {
+            fs::write(golden_dir.join(format!("{}.csv", t.name)), t.to_csv())
+                .expect("write golden csv");
         }
         fs::write(golden_dir.join("MANIFEST"), format!("scale={scale}\n"))
             .expect("write golden manifest");
         println!(
             "blessed {} goldens at scale {scale} into {}",
-            artifacts.len(),
+            tables.len(),
             golden_dir.display()
         );
     } else {
@@ -189,47 +84,35 @@ fn main() {
                 m.lines()
                     .find_map(|l| l.strip_prefix("scale=").and_then(|v| v.parse::<f64>().ok()))
             });
-        match blessed_scale {
-            Some(s) if (s - scale).abs() < 1e-12 => {
-                for a in &artifacts {
-                    let path = golden_dir.join(format!("{}.csv", a.name));
-                    let out = match fs::read_to_string(&path) {
-                        Ok(text) => golden::compare(a, &text),
-                        Err(_) => GoldenOutcome {
-                            artifact: a.name.to_string(),
-                            passed: false,
-                            detail: format!(
-                                "missing golden {} — run `cargo run -p mcs-check -- --bless`",
-                                path.display()
-                            ),
-                        },
-                    };
-                    report.golden.push(out);
+        let outcome = |t: &Table, passed: bool, detail: String| GoldenOutcome {
+            artifact: t.name.to_string(),
+            passed,
+            detail,
+        };
+        const BLESS_HINT: &str = "run `cargo run -p mcs-check -- --bless`";
+        report
+            .golden
+            .extend(tables.iter().map(|t| match blessed_scale {
+                Some(s) if (s - scale).abs() < 1e-12 => {
+                    let path = golden_dir.join(format!("{}.csv", t.name));
+                    match fs::read_to_string(&path) {
+                        Ok(text) => golden::compare(t, &text),
+                        Err(_) => outcome(
+                            t,
+                            false,
+                            format!("missing golden {} — {BLESS_HINT}", path.display()),
+                        ),
+                    }
                 }
-            }
-            Some(s) => {
                 // Goldens are scale-specific; at any other scale only the
                 // invariants apply.
-                for a in &artifacts {
-                    report.golden.push(GoldenOutcome {
-                        artifact: a.name.to_string(),
-                        passed: true,
-                        detail: format!(
-                            "skipped (goldens blessed at scale {s}, running at {scale})"
-                        ),
-                    });
-                }
-            }
-            None => {
-                for a in &artifacts {
-                    report.golden.push(GoldenOutcome {
-                        artifact: a.name.to_string(),
-                        passed: false,
-                        detail: "no goldens found — run `cargo run -p mcs-check -- --bless`".into(),
-                    });
-                }
-            }
-        }
+                Some(s) => outcome(
+                    t,
+                    true,
+                    format!("skipped (goldens blessed at scale {s}, running at {scale})"),
+                ),
+                None => outcome(t, false, format!("no goldens found — {BLESS_HINT}")),
+            }));
     }
 
     let report_path = results_dir.join("check_report.json");
@@ -244,22 +127,7 @@ fn main() {
         t_all.elapsed().as_secs_f64()
     );
     for c in &report.invariants {
-        println!(
-            "  {} {:<28} value {:<12.6} band {}",
-            if c.passed {
-                "PASS"
-            } else if c.warn {
-                "WARN"
-            } else {
-                "FAIL"
-            },
-            c.id,
-            c.value,
-            c.band
-        );
-        if !c.passed {
-            println!("       {}: {}", c.harness, c.description);
-        }
+        println!("  {c}");
     }
     if report.n_warned() > 0 {
         println!(

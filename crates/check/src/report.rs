@@ -26,114 +26,24 @@
 //! }
 //! ```
 
+pub use mcs_bench::harness::{check, check_warn, Band, CheckOutcome};
+
 use crate::golden::GoldenOutcome;
 
-/// Allowed band for a scalar invariant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Band {
-    /// `lo <= value <= hi`.
-    Range { lo: f64, hi: f64 },
-    /// `value >= lo`.
-    AtLeast(f64),
-    /// `value <= hi`.
-    AtMost(f64),
-    /// Boolean predicate; `value` is 1.0 (holds) or 0.0 (violated).
-    Holds,
-}
-
-impl Band {
-    pub fn admits(&self, v: f64) -> bool {
-        match *self {
-            Band::Range { lo, hi } => v >= lo && v <= hi,
-            Band::AtLeast(lo) => v >= lo,
-            Band::AtMost(hi) => v <= hi,
-            Band::Holds => v == 1.0,
+fn band_json(band: &Band) -> String {
+    match *band {
+        Band::Range { lo, hi } => format!(
+            "{{\"kind\": \"range\", \"lo\": {}, \"hi\": {}}}",
+            json_num(lo),
+            json_num(hi)
+        ),
+        Band::AtLeast(lo) => {
+            format!("{{\"kind\": \"at_least\", \"lo\": {}}}", json_num(lo))
         }
-    }
-
-    pub fn to_json(&self) -> String {
-        match *self {
-            Band::Range { lo, hi } => format!(
-                "{{\"kind\": \"range\", \"lo\": {}, \"hi\": {}}}",
-                json_num(lo),
-                json_num(hi)
-            ),
-            Band::AtLeast(lo) => {
-                format!("{{\"kind\": \"at_least\", \"lo\": {}}}", json_num(lo))
-            }
-            Band::AtMost(hi) => {
-                format!("{{\"kind\": \"at_most\", \"hi\": {}}}", json_num(hi))
-            }
-            Band::Holds => "{\"kind\": \"holds\"}".to_string(),
+        Band::AtMost(hi) => {
+            format!("{{\"kind\": \"at_most\", \"hi\": {}}}", json_num(hi))
         }
-    }
-}
-
-impl std::fmt::Display for Band {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            Band::Range { lo, hi } => write!(f, "[{lo}, {hi}]"),
-            Band::AtLeast(lo) => write!(f, ">= {lo}"),
-            Band::AtMost(hi) => write!(f, "<= {hi}"),
-            Band::Holds => write!(f, "holds"),
-        }
-    }
-}
-
-/// One checked invariant: the measured value against its allowed band.
-#[derive(Debug, Clone)]
-pub struct CheckOutcome {
-    /// Stable invariant ID, e.g. `F2.mic_over_e5` (also the key
-    /// EXPERIMENTS.md's "continuously verified" column cites).
-    pub id: &'static str,
-    /// Which harness produced the value (`fig2`, `table3`, ...).
-    pub harness: &'static str,
-    /// Human-readable claim being checked.
-    pub description: &'static str,
-    /// Measured/derived value.
-    pub value: f64,
-    /// Allowed band.
-    pub band: Band,
-    /// `band.admits(value)`.
-    pub passed: bool,
-    /// Warn-band outcome: a violation is *reported* but does not gate
-    /// the run (used where the measurement is known-unstable, e.g. the
-    /// F2 host kernel ratio on a single-core runner).
-    pub warn: bool,
-}
-
-/// Build an outcome, evaluating the band.
-pub fn check(
-    id: &'static str,
-    harness: &'static str,
-    description: &'static str,
-    value: f64,
-    band: Band,
-) -> CheckOutcome {
-    CheckOutcome {
-        id,
-        harness,
-        description,
-        value,
-        band,
-        passed: band.admits(value),
-        warn: false,
-    }
-}
-
-/// Build an outcome on the warn band: scored and reported exactly like
-/// [`check`], but a violation does not count toward [`CheckReport::n_failed`]
-/// (the runner prints `WARN` instead of `FAIL`).
-pub fn check_warn(
-    id: &'static str,
-    harness: &'static str,
-    description: &'static str,
-    value: f64,
-    band: Band,
-) -> CheckOutcome {
-    CheckOutcome {
-        warn: true,
-        ..check(id, harness, description, value, band)
+        Band::Holds => "{\"kind\": \"holds\"}".to_string(),
     }
 }
 
@@ -146,9 +56,9 @@ pub struct CheckReport {
     pub threads: usize,
     /// Scalar invariants, in run order.
     pub invariants: Vec<CheckOutcome>,
-    /// Instrumentation counters surfaced by the harnesses (currently the
-    /// `xs.*` set of the event-queueing sweep's optimized hash run), as
-    /// `(name, count)` in name order.
+    /// Instrumentation counters the harnesses export (the `xs.*` set of
+    /// the event-queueing sweep's optimized hash run, the `geom.*` set
+    /// of the geometry sweep), as `(name, count)` in run order.
     pub counters: Vec<(String, u64)>,
     /// Golden-CSV comparisons, in run order.
     pub golden: Vec<GoldenOutcome>,
@@ -194,7 +104,7 @@ impl CheckReport {
                 json_str(c.harness),
                 json_str(c.description),
                 json_num(c.value),
-                c.band.to_json(),
+                band_json(&c.band),
                 c.passed,
                 c.warn,
                 if i + 1 < self.invariants.len() {
@@ -239,40 +149,14 @@ pub fn json_num(v: f64) -> String {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslash, control chars).
+/// A JSON string literal.
 pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", mcs_prof::value::escape_json(s))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bands_admit_and_reject() {
-        assert!(Band::Range { lo: 8.0, hi: 12.0 }.admits(9.6));
-        assert!(!Band::Range { lo: 8.0, hi: 12.0 }.admits(13.0));
-        assert!(Band::AtLeast(0.94).admits(0.97));
-        assert!(!Band::AtLeast(0.94).admits(0.5));
-        assert!(Band::AtMost(1e-9).admits(0.0));
-        assert!(!Band::AtMost(1e-9).admits(1e-3));
-        assert!(Band::Holds.admits(1.0));
-        assert!(!Band::Holds.admits(0.0));
-    }
 
     #[test]
     fn report_counts_failures_from_both_sections() {
@@ -281,10 +165,8 @@ mod tests {
             threads: 4,
             ..Default::default()
         };
-        r.invariants
-            .push(check("A.x", "figA", "ok", 1.0, Band::Holds));
-        r.invariants
-            .push(check("A.y", "figA", "bad", 0.0, Band::Holds));
+        r.invariants.push(check("A.x", "ok", 1.0, Band::Holds));
+        r.invariants.push(check("A.y", "bad", 0.0, Band::Holds));
         r.golden.push(GoldenOutcome {
             artifact: "a".into(),
             passed: false,
@@ -306,7 +188,6 @@ mod tests {
         };
         r.invariants.push(check_warn(
             "W.x",
-            "figW",
             "violated but warn-band",
             0.0,
             Band::Holds,
@@ -319,7 +200,7 @@ mod tests {
         assert!(j.contains("\"warn\": true"), "{j}");
         // A held warn-band invariant is not counted as warned.
         r.invariants
-            .push(check_warn("W.y", "figW", "holds", 1.0, Band::Holds));
+            .push(check_warn("W.y", "holds", 1.0, Band::Holds));
         assert_eq!(r.n_warned(), 1);
     }
 

@@ -4,8 +4,9 @@
 //! load-bearing (every other crate's claims flow through it), so it gets
 //! its own regression suite rather than trusting it by construction.
 
-use mcs_bench::harness::Artifact;
-use mcs_check::{check, compare, policy, render_csv, Band, CheckReport, ColumnPolicy};
+use mcs_bench::harness::table::COUNTER_TOL;
+use mcs_bench::harness::{Column, Fmt, Kind, Table, Value};
+use mcs_check::{check, compare, Band, CheckReport, ColumnPolicy};
 
 // ---------------------------------------------------------------- bands
 
@@ -39,15 +40,9 @@ fn every_band_rejects_nan() {
 
 #[test]
 fn scorer_evaluates_the_band_and_nan_serializes_as_null() {
-    let good = check("X.test", "unit", "a passing value", 1.5, Band::AtLeast(1.0));
+    let good = check("X.test", "a passing value", 1.5, Band::AtLeast(1.0));
     assert!(good.passed);
-    let bad = check(
-        "X.test",
-        "unit",
-        "a non-finite value",
-        f64::NAN,
-        Band::AtLeast(0.0),
-    );
+    let bad = check("X.test", "a non-finite value", f64::NAN, Band::AtLeast(0.0));
     assert!(!bad.passed);
     // The hand-rolled JSON writer must not emit bare `NaN` (invalid JSON).
     let report = CheckReport {
@@ -72,7 +67,6 @@ fn perturbed_report_fails_and_says_so() {
         threads: 4,
         invariants: vec![check(
             "T3.headline",
-            "table3",
             "CPU + 2 MICs balanced over CPU only",
             4.2,
             Band::Range { lo: 3.0, hi: 5.5 },
@@ -96,69 +90,78 @@ fn perturbed_report_fails_and_says_so() {
 // --------------------------------------------------- tolerance policies
 
 #[test]
-fn policy_distinguishes_exact_and_rel_columns() {
-    // Key columns are exact; data columns carry the 2% band.
+fn policy_follows_the_declared_kind() {
+    // Key and exact columns are byte-exact; modeled columns carry their
+    // declared band and counters the cross-leg one.
+    assert_eq!(ColumnPolicy::of(Kind::Key), ColumnPolicy::Exact);
+    assert_eq!(ColumnPolicy::of(Kind::Exact), ColumnPolicy::Exact);
     assert_eq!(
-        policy("table3_symmetric_balance", "hardware", "CPU only"),
-        ColumnPolicy::Exact
+        ColumnPolicy::of(Kind::Modeled(0.02)),
+        ColumnPolicy::Rel(0.02)
     );
     assert_eq!(
-        policy("table3_symmetric_balance", "degraded_rate", "CPU + MIC"),
-        ColumnPolicy::Rel(0.02)
+        ColumnPolicy::of(Kind::Counter),
+        ColumnPolicy::Rel(COUNTER_TOL)
     );
     // Measured-throughput columns are sign-checked only (machine-speed
-    // dependent), while modeled rows of the same artifact stay banded.
-    assert_eq!(
-        policy("fig2_lookup_rates", "mic_measured_per_s", "1000"),
-        ColumnPolicy::Positive
+    // dependent), while a modeled row of the same mixed table stays
+    // banded — and its key cell exact.
+    assert_eq!(ColumnPolicy::of(Kind::Measured), ColumnPolicy::Positive);
+    let mut mixed = Table::new(
+        "table1_distance_sampling",
+        vec![Column::key("row"), Column::measured("cpu_s", Fmt::Fixed(4))],
     );
-    assert_eq!(
-        policy("table1_distance_sampling", "cpu_s", "modeled opt2"),
-        ColumnPolicy::Rel(0.02)
+    mixed.push(vec!["host_measured".into(), 0.5.into()]);
+    mixed.push_as(
+        Kind::Modeled(0.02),
+        vec!["modeled opt2".into(), Value::Fixed(33.3, 1)],
     );
-    // Unknown artifacts get the conservative default.
-    assert_eq!(
-        policy("nonexistent", "anything", ""),
-        ColumnPolicy::Rel(0.02)
-    );
+    assert_eq!(mixed.kind_at(0, 1), Kind::Measured);
+    assert_eq!(mixed.kind_at(1, 1), Kind::Modeled(0.02));
+    assert_eq!(mixed.kind_at(1, 0), Kind::Key);
+    let golden = mixed.to_csv();
+    mixed.rows[0].cells[1] = 5.0.into(); // measured: any positive value
+    assert!(compare(&mixed, &golden).passed);
+    mixed.rows[1].cells[1] = Value::Fixed(40.0, 1); // modeled: +20%
+    assert!(!compare(&mixed, &golden).passed);
 }
 
-fn table3_artifact() -> Artifact {
-    Artifact {
-        name: "table3_symmetric_balance",
-        columns: vec![
-            "hardware",
-            "original_rate",
-            "balanced_rate",
-            "ideal_rate",
-            "degraded_rate",
+fn table3() -> Table {
+    let rate = |name| Column::modeled(name, 0.02, Fmt::Fixed(0));
+    let mut t = Table::new(
+        "table3_symmetric_balance",
+        vec![
+            Column::key("hardware"),
+            rate("original_rate"),
+            rate("balanced_rate"),
+            rate("ideal_rate"),
+            rate("degraded_rate"),
         ],
-        rows: vec![
-            vec![
-                "CPU + MIC".into(),
-                "27334".into(),
-                "34341".into(),
-                "34342".into(),
-                "13667".into(),
-            ],
-            vec![
-                "CPU + 2 MICs".into(),
-                "41001".into(),
-                "55016".into(),
-                "55016".into(),
-                "34341".into(),
-            ],
-        ],
-    }
+    );
+    t.push(vec![
+        "CPU + MIC".into(),
+        27334.0.into(),
+        34341.0.into(),
+        34342.0.into(),
+        13667.0.into(),
+    ]);
+    t.push(vec![
+        "CPU + 2 MICs".into(),
+        41001.0.into(),
+        55016.0.into(),
+        55016.0.into(),
+        34341.0.into(),
+    ]);
+    t
 }
 
 #[test]
 fn rel_column_tolerates_small_drift_but_not_large() {
-    let golden = render_csv(&table3_artifact());
-    let mut fresh = table3_artifact();
-    fresh.rows[0][4] = "13800".into(); // +0.97% < 2%
+    let golden = table3().to_csv();
+    let mut fresh = table3();
+    fresh.rows[0].cells[4] = 13800.0.into(); // +0.97% < 2%
     assert!(compare(&fresh, &golden).passed);
-    fresh.rows[0][4] = "15000".into(); // +9.8% > 2%
+    fresh.rows[0].cells[4] = 15000.0.into(); // +9.8% > 2%
     let out = compare(&fresh, &golden);
     assert!(!out.passed);
     assert!(out.detail.contains("degraded_rate"), "{}", out.detail);
@@ -166,9 +169,9 @@ fn rel_column_tolerates_small_drift_but_not_large() {
 
 #[test]
 fn exact_column_rejects_even_tiny_drift() {
-    let golden = render_csv(&table3_artifact());
-    let mut fresh = table3_artifact();
-    fresh.rows[0][0] = "CPU + MIC ".into(); // trailing space
+    let golden = table3().to_csv();
+    let mut fresh = table3();
+    fresh.rows[0].cells[0] = "CPU + MIC ".into(); // trailing space
     assert!(!compare(&fresh, &golden).passed);
 }
 
@@ -176,23 +179,33 @@ fn exact_column_rejects_even_tiny_drift() {
 fn nan_cells_never_pass_a_numeric_policy() {
     // A NaN in a Rel column is a numeric/non-numeric flip vs the golden
     // number — hard failure, not a parsed comparison.
-    let golden = render_csv(&table3_artifact());
-    let mut fresh = table3_artifact();
-    fresh.rows[1][2] = "NaN".into();
+    let golden = table3().to_csv();
+    let mut fresh = table3();
+    fresh.rows[1].cells[2] = f64::NAN.into();
     let out = compare(&fresh, &golden);
     assert!(!out.passed, "{}", out.detail);
 
     // And a Positive column rejects NaN, inf, zero, and negatives alike:
     // only a finite positive number proves the measurement ran.
-    let base = Artifact {
-        name: "fig2_lookup_rates",
-        columns: vec!["bank_size", "mic_measured_per_s"],
-        rows: vec![vec!["1000".into(), "123.0".into()]],
-    };
-    let golden = render_csv(&base);
-    for bad in ["NaN", "inf", "0", "-5.0", "n/a"] {
+    let mut base = Table::new(
+        "fig2_lookup_rates",
+        vec![
+            Column::key("bank_size"),
+            Column::measured("mic_measured_per_s", Fmt::Fixed(1)),
+        ],
+    );
+    base.push(vec![1000usize.into(), 123.0.into()]);
+    let golden = base.to_csv();
+    let bad_cells: [Value; 5] = [
+        f64::NAN.into(),
+        f64::INFINITY.into(),
+        0.0.into(),
+        (-5.0).into(),
+        "n/a".into(),
+    ];
+    for bad in bad_cells {
         let mut fresh = base.clone();
-        fresh.rows[0][1] = bad.into();
+        fresh.rows[0].cells[1] = bad.clone();
         assert!(
             !compare(&fresh, &golden).passed,
             "Positive policy admitted {bad:?}"
@@ -200,13 +213,13 @@ fn nan_cells_never_pass_a_numeric_policy() {
     }
     // Any other positive value passes — the column is sign-checked only.
     let mut fresh = base.clone();
-    fresh.rows[0][1] = "9999.0".into();
+    fresh.rows[0].cells[1] = 9999.0.into();
     assert!(compare(&fresh, &golden).passed);
 }
 
 #[test]
 fn golden_header_and_shape_changes_fail_loudly() {
-    let fresh = table3_artifact();
+    let fresh = table3();
     // Header drift (e.g. this PR adding degraded_rate) must be caught —
     // that is what forces a deliberate re-bless.
     let old_header = "hardware,original_rate,balanced_rate,ideal_rate\n";
@@ -214,7 +227,7 @@ fn golden_header_and_shape_changes_fail_loudly() {
     assert!(!out.passed);
     assert!(out.detail.contains("header changed"), "{}", out.detail);
     // Row-count drift too.
-    let mut truncated = render_csv(&fresh);
+    let mut truncated = fresh.to_csv();
     truncated = truncated.lines().take(2).collect::<Vec<_>>().join("\n") + "\n";
     let out = compare(&fresh, &truncated);
     assert!(!out.passed, "{}", out.detail);

@@ -13,50 +13,9 @@ use mcs_geom::Vec3;
 use mcs_rng::Lcg63;
 
 use crate::event::EventStats;
-use crate::mesh::{MeshSpec, MeshStats, MeshTally};
+use crate::mesh::{MeshStats, MeshTally};
 use crate::particle::{Site, SourceSite};
 use crate::tally::Tallies;
-
-/// Which transport algorithm drives the batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportMode {
-    /// History-based (MIMD-style).
-    History,
-    /// Event-based banking (SIMD-style).
-    Event,
-}
-
-/// Driver settings.
-#[derive(Debug, Clone)]
-pub struct EigenvalueSettings {
-    /// Particles per batch.
-    pub particles: usize,
-    /// Source-convergence batches (not tallied).
-    pub inactive: usize,
-    /// Tallied batches.
-    pub active: usize,
-    /// Transport algorithm.
-    pub mode: TransportMode,
-    /// Shannon-entropy mesh (nx, ny, nz) over the geometry bounds.
-    pub entropy_mesh: (usize, usize, usize),
-    /// Optional user-defined mesh tally, scored during *active* batches
-    /// only (which is why the paper distinguishes α_a from α_i).
-    pub mesh_tally: Option<MeshSpec>,
-}
-
-impl EigenvalueSettings {
-    /// A quick test configuration.
-    pub fn test_scale() -> Self {
-        Self {
-            particles: 500,
-            inactive: 2,
-            active: 3,
-            mode: TransportMode::History,
-            entropy_mesh: (4, 4, 4),
-            mesh_tally: None,
-        }
-    }
-}
 
 /// Per-batch record.
 #[derive(Debug, Clone, Copy)]
@@ -95,7 +54,8 @@ pub struct EigenvalueResult {
     /// Per-cell batch statistics for the mesh tally (if requested).
     pub mesh_stats: Option<MeshStats>,
     /// Event-pipeline counters aggregated over every batch (counts sum,
-    /// peak bank is the max). `None` under [`TransportMode::History`].
+    /// peak bank is the max). `None` under
+    /// [`Algorithm::History`](crate::engine::Algorithm::History).
     pub event_stats: Option<EventStats>,
     /// Total wall time.
     pub total_time: Duration,
@@ -172,7 +132,7 @@ mod tests {
     use crate::engine::{self, Algorithm, RunPlan, Threaded};
     use crate::problem::Problem;
 
-    /// Engine-plan twin of [`EigenvalueSettings::test_scale`].
+    /// A quick test configuration.
     fn test_plan() -> RunPlan {
         RunPlan {
             particles: 500,

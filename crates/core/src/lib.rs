@@ -46,7 +46,7 @@ pub mod statepoint;
 pub mod tally;
 pub mod vr;
 
-pub use eigenvalue::{EigenvalueResult, EigenvalueSettings, TransportMode};
+pub use eigenvalue::EigenvalueResult;
 pub use engine::{
     Algorithm, BatchObserver, BatchProgress, ExecutionPolicy, ModelOverrides, ModelSpec,
     NoProgress, PlanError, PolicySpec, RunMode, RunOutput, RunPlan, RunReport, Serial, Threaded,

@@ -7,6 +7,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::value::{JsonValue, JsonWriteError};
+
 /// A set of named monotonic counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Counters {
@@ -56,17 +58,19 @@ impl Counters {
         }
     }
 
-    /// Render as a stable JSON object (keys sorted).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        for (i, (k, v)) in self.counts.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\": {v}", crate::value::escape_json(k)));
+    /// The counters as a JSON object node; `Err` if a count exceeds
+    /// 2^53 and would not survive the trip.
+    pub fn to_value(&self) -> Result<JsonValue, JsonWriteError> {
+        let mut members = BTreeMap::new();
+        for (k, &v) in &self.counts {
+            members.insert(k.clone(), JsonValue::uint(v.into())?);
         }
-        s.push('}');
-        s
+        Ok(JsonValue::Object(members))
+    }
+
+    /// Render as a stable single-line JSON object (keys sorted).
+    pub fn to_json(&self) -> Result<String, JsonWriteError> {
+        self.to_value()?.write()
     }
 
     /// Parse the flat-object format produced by [`Counters::to_json`]
@@ -75,11 +79,11 @@ impl Counters {
     /// are an `Err` — consumers like `mcs-bench trend` must distinguish
     /// "no counters" from "corrupt counters".
     pub fn from_json(text: &str) -> Result<Counters, String> {
-        Self::from_value(&crate::value::JsonValue::parse(text)?)
+        Self::from_value(&JsonValue::parse(text)?)
     }
 
     /// Build a counter set from an already-parsed JSON object node.
-    pub fn from_value(v: &crate::value::JsonValue) -> Result<Counters, String> {
+    pub fn from_value(v: &JsonValue) -> Result<Counters, String> {
         let obj = v.as_object().ok_or("counters section is not an object")?;
         let mut c = Counters::new();
         for (k, v) in obj {
@@ -130,8 +134,8 @@ mod tests {
         let mut c = Counters::new();
         c.add("b", 2);
         c.add("a", 1);
-        assert_eq!(c.to_json(), "{\"a\": 1, \"b\": 2}");
-        assert_eq!(Counters::new().to_json(), "{}");
+        assert_eq!(c.to_json().unwrap(), "{\"a\": 1, \"b\": 2}");
+        assert_eq!(Counters::new().to_json().unwrap(), "{}");
     }
 
     #[test]
@@ -139,7 +143,7 @@ mod tests {
         let mut c = Counters::new();
         c.add("xs.lookups", 585_733);
         c.add("xs.gather_span_bytes", 22_478_806_592);
-        let back = Counters::from_json(&c.to_json()).unwrap();
+        let back = Counters::from_json(&c.to_json().unwrap()).unwrap();
         assert_eq!(back, c);
         assert_eq!(Counters::from_json("{}").unwrap(), Counters::new());
     }

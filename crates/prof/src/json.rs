@@ -14,16 +14,19 @@
 //!     let _g = tp.enter("xs");
 //! }
 //! let snap = tp.finish().snapshot();
-//! let back = ProfileSnapshot::from_json(&snap.to_json()).unwrap();
+//! let back = ProfileSnapshot::from_json(&snap.to_json().unwrap()).unwrap();
 //! assert_eq!(snap, back);
 //! ```
 //!
-//! Durations travel as integer nanoseconds (`u128` in memory, emitted as
-//! a JSON number), which keeps the round trip bit-exact.
+//! Durations travel as integer nanoseconds through [`JsonValue`], whose
+//! numbers are exact up to 2^53: the round trip is bit-exact below that
+//! and a typed error above it.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use crate::report::{Profile, RegionStats};
+use crate::value::{JsonValue, JsonWriteError};
 
 /// An owned, serializable snapshot of a [`Profile`].
 ///
@@ -55,261 +58,73 @@ impl Profile {
     }
 
     /// Serialize to the snapshot JSON format.
-    pub fn to_json(&self) -> String {
+    pub fn to_json(&self) -> Result<String, JsonWriteError> {
         self.snapshot().to_json()
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+fn section_value(entries: &[(String, RegionStats)]) -> Result<JsonValue, JsonWriteError> {
+    let mut section = BTreeMap::new();
+    for (name, s) in entries {
+        let stats = JsonValue::object([
+            ("calls", JsonValue::uint(s.calls.into())?),
+            ("exclusive_ns", JsonValue::uint(s.exclusive.as_nanos())?),
+            ("inclusive_ns", JsonValue::uint(s.inclusive.as_nanos())?),
+        ]);
+        section.insert(name.clone(), stats);
+    }
+    Ok(JsonValue::Object(section))
+}
+
+fn parse_section(v: &JsonValue) -> Result<Vec<(String, RegionStats)>, String> {
+    let section = v.as_object().ok_or("profile section is not an object")?;
+    let mut out = Vec::with_capacity(section.len());
+    for (name, stats) in section {
+        let fields = stats
+            .as_object()
+            .ok_or_else(|| format!("stats of {name:?} are not an object"))?;
+        let mut s = RegionStats::default();
+        for (key, v) in fields {
+            let n = v
+                .as_u64()
+                .ok_or_else(|| format!("{name:?}.{key} is not an integer in 0..=2^53"))?;
+            match key.as_str() {
+                "calls" => s.calls = n,
+                "exclusive_ns" => s.exclusive = Duration::from_nanos(n),
+                "inclusive_ns" => s.inclusive = Duration::from_nanos(n),
+                other => return Err(format!("unknown stats field {other:?}")),
+            }
         }
+        out.push((name.clone(), s));
     }
-    out
-}
-
-fn stats_json(s: &RegionStats) -> String {
-    format!(
-        "{{\"calls\": {}, \"exclusive_ns\": {}, \"inclusive_ns\": {}}}",
-        s.calls,
-        s.exclusive.as_nanos(),
-        s.inclusive.as_nanos()
-    )
-}
-
-fn section_json(entries: &[(String, RegionStats)], indent: &str) -> String {
-    if entries.is_empty() {
-        return "{}".to_string();
-    }
-    let body: Vec<String> = entries
-        .iter()
-        .map(|(name, s)| format!("{indent}  \"{}\": {}", escape(name), stats_json(s)))
-        .collect();
-    format!("{{\n{}\n{indent}}}", body.join(",\n"))
+    Ok(out)
 }
 
 impl ProfileSnapshot {
     /// Serialize as a two-section JSON object (`regions`, `paths`).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"regions\": {},\n  \"paths\": {}\n}}",
-            section_json(&self.regions, "  "),
-            section_json(&self.paths, "  ")
-        )
+    /// A duration above 2^53 ns (~104 days) is an `Err`: the number
+    /// would not survive the trip.
+    pub fn to_json(&self) -> Result<String, JsonWriteError> {
+        JsonValue::object([
+            ("regions", section_value(&self.regions)?),
+            ("paths", section_value(&self.paths)?),
+        ])
+        .write_pretty()
     }
 
     /// Parse the format produced by [`ProfileSnapshot::to_json`].
     pub fn from_json(text: &str) -> Result<ProfileSnapshot, String> {
-        let mut p = Parser::new(text);
-        p.skip_ws();
-        p.expect('{')?;
+        let doc = JsonValue::parse(text)?;
         let mut snap = ProfileSnapshot::default();
-        loop {
-            p.skip_ws();
-            if p.eat('}') {
-                break;
-            }
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(':')?;
-            let entries = p.stats_map()?;
+        for (key, v) in doc.as_object().ok_or("profile is not an object")? {
             match key.as_str() {
-                "regions" => snap.regions = entries,
-                "paths" => snap.paths = entries,
+                "regions" => snap.regions = parse_section(v)?,
+                "paths" => snap.paths = parse_section(v)?,
                 other => return Err(format!("unknown section {other:?}")),
             }
-            p.skip_ws();
-            if !p.eat(',') {
-                p.skip_ws();
-                p.expect('}')?;
-                break;
-            }
         }
-        snap.regions.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.paths.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(snap)
     }
-}
-
-/// Minimal recursive-descent parser for the snapshot's own JSON subset
-/// (string keys, unsigned-integer values, no nesting beyond two levels).
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, c: char) -> bool {
-        if self.peek() == Some(c as u8) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {c:?} at byte {} (found {:?})",
-                self.pos,
-                self.peek().map(|b| b as char)
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek().ok_or("unterminated string")? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek().ok_or("bad escape")? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("bad \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad codepoint")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through untouched.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|e| e.to_string())?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<u128, String> {
-        let start = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .unwrap()
-            .parse()
-            .map_err(|e: std::num::ParseIntError| e.to_string())
-    }
-
-    fn stats(&mut self) -> Result<RegionStats, String> {
-        self.skip_ws();
-        self.expect('{')?;
-        let mut s = RegionStats::default();
-        loop {
-            self.skip_ws();
-            if self.eat('}') {
-                break;
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(':')?;
-            self.skip_ws();
-            let v = self.number()?;
-            match key.as_str() {
-                "calls" => s.calls = v as u64,
-                "exclusive_ns" => s.exclusive = duration_from_nanos(v),
-                "inclusive_ns" => s.inclusive = duration_from_nanos(v),
-                other => return Err(format!("unknown stats field {other:?}")),
-            }
-            self.skip_ws();
-            if !self.eat(',') {
-                self.skip_ws();
-                self.expect('}')?;
-                break;
-            }
-        }
-        Ok(s)
-    }
-
-    fn stats_map(&mut self) -> Result<Vec<(String, RegionStats)>, String> {
-        self.skip_ws();
-        self.expect('{')?;
-        let mut out = Vec::new();
-        loop {
-            self.skip_ws();
-            if self.eat('}') {
-                break;
-            }
-            let name = self.string()?;
-            self.skip_ws();
-            self.expect(':')?;
-            let s = self.stats()?;
-            out.push((name, s));
-            self.skip_ws();
-            if !self.eat(',') {
-                self.skip_ws();
-                self.expect('}')?;
-                break;
-            }
-        }
-        Ok(out)
-    }
-}
-
-fn duration_from_nanos(n: u128) -> Duration {
-    let secs = (n / 1_000_000_000) as u64;
-    let nanos = (n % 1_000_000_000) as u32;
-    Duration::new(secs, nanos)
 }
 
 #[cfg(test)]
@@ -350,14 +165,17 @@ mod tests {
     #[test]
     fn round_trip_is_lossless() {
         let s = snap();
-        let back = ProfileSnapshot::from_json(&s.to_json()).unwrap();
+        let back = ProfileSnapshot::from_json(&s.to_json().unwrap()).unwrap();
         assert_eq!(s, back);
     }
 
     #[test]
     fn empty_profile_round_trips() {
         let s = ProfileSnapshot::default();
-        assert_eq!(ProfileSnapshot::from_json(&s.to_json()).unwrap(), s);
+        assert_eq!(
+            ProfileSnapshot::from_json(&s.to_json().unwrap()).unwrap(),
+            s
+        );
     }
 
     #[test]
@@ -368,7 +186,7 @@ mod tests {
             let _inner = tp.enter("inner");
         }
         let p = tp.finish();
-        let back = ProfileSnapshot::from_json(&p.to_json()).unwrap();
+        let back = ProfileSnapshot::from_json(&p.to_json().unwrap()).unwrap();
         assert_eq!(back, p.snapshot());
         assert_eq!(back.regions.len(), 2);
         assert!(back.paths.iter().any(|(p, _)| p.contains("=>")));
@@ -379,5 +197,25 @@ mod tests {
         assert!(ProfileSnapshot::from_json("not json").is_err());
         assert!(ProfileSnapshot::from_json("{\"regions\": {\"a\": {\"calls\": }}}").is_err());
         assert!(ProfileSnapshot::from_json("{\"bogus\": {}}").is_err());
+    }
+
+    #[test]
+    fn duration_beyond_exact_range_is_an_error_not_a_truncation() {
+        let limit = 1u64 << 53;
+        let mut s = snap();
+        s.regions[0].1.inclusive = Duration::from_nanos(limit);
+        let back = ProfileSnapshot::from_json(&s.to_json().unwrap()).unwrap();
+        assert_eq!(back, s, "2^53 ns itself is exact");
+
+        s.regions[0].1.inclusive = Duration::from_nanos(limit + 1);
+        assert_eq!(
+            s.to_json(),
+            Err(JsonWriteError::IntegerTooLarge(u128::from(limit) + 1))
+        );
+        let text = format!(
+            "{{\"regions\": {{\"a\": {{\"inclusive_ns\": {}}}}}}}",
+            limit + 1
+        );
+        assert!(ProfileSnapshot::from_json(&text).is_err());
     }
 }

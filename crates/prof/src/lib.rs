@@ -38,7 +38,7 @@ pub use counters::Counters;
 pub use json::ProfileSnapshot;
 pub use report::{Profile, ProfileCompare, RegionStats};
 pub use timer::{RegionGuard, ThreadProfiler};
-pub use value::JsonValue;
+pub use value::{JsonValue, JsonWriteError};
 
 #[cfg(test)]
 mod tests {

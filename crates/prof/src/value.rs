@@ -1,17 +1,18 @@
-//! A minimal generic JSON value tree and strict parser.
+//! A minimal generic JSON value tree with a strict parser and writer.
 //!
 //! The workspace's machine-readable artifacts (`results/BENCH_*.json`,
-//! `check_report.json`, the trend history/report) are all hand-rolled
-//! JSON written without serde, and the consumers that read them back
-//! (`mcs-bench trend`, tests) need a real parser rather than string
-//! scraping. [`JsonValue::parse`] accepts standard JSON and is *strict*:
-//! trailing garbage, truncated input, unknown escapes, or malformed
-//! numbers are an `Err`, never a panic — corrupt trend history must
-//! surface as a hard failure.
+//! profile snapshots, counter sets) are built as [`JsonValue`] trees
+//! and emitted by [`JsonValue::write`] / [`JsonValue::write_pretty`];
+//! the consumers that read them back (`mcs-bench trend`, tests) use
+//! [`JsonValue::parse`]. Both directions are *strict*: trailing
+//! garbage, truncated input, unknown escapes or malformed numbers fail
+//! the parse, and a non-finite number fails the write — never a panic,
+//! never a silently different value.
 //!
-//! Numbers are held as `f64` (every producer in this workspace emits
-//! counts well under 2^53, where `f64` is exact); [`JsonValue::as_u64`]
-//! re-checks integrality on the way out.
+//! Numbers are held as `f64`, which is exact for integers up to 2^53.
+//! An integer beyond that is a typed error on both sides
+//! ([`JsonValue::uint`] when building, an integer literal above 2^53
+//! when parsing) rather than a rounded value.
 
 use std::collections::BTreeMap;
 
@@ -33,7 +34,135 @@ pub enum JsonValue {
     Object(BTreeMap<String, JsonValue>),
 }
 
+/// Largest integer magnitude an `f64`-backed JSON number holds exactly.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0; // 2^53
+
+/// Why a value has no JSON spelling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonWriteError {
+    /// NaN or an infinity.
+    NonFinite,
+    /// An integer above 2^53, which an `f64`-backed number would round.
+    IntegerTooLarge(u128),
+}
+
+impl std::fmt::Display for JsonWriteError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonWriteError::NonFinite => write!(f, "non-finite number has no JSON form"),
+            JsonWriteError::IntegerTooLarge(n) => {
+                write!(f, "integer {n} exceeds 2^53 and would not round-trip")
+            }
+        }
+    }
+}
+
+impl std::error::Error for JsonWriteError {}
+
 impl JsonValue {
+    /// An exact unsigned integer; `Err` above 2^53.
+    pub fn uint(n: u128) -> Result<JsonValue, JsonWriteError> {
+        if n <= MAX_EXACT_INT as u128 {
+            Ok(JsonValue::Num(n as f64))
+        } else {
+            Err(JsonWriteError::IntegerTooLarge(n))
+        }
+    }
+
+    /// An object from `(key, value)` pairs.
+    pub fn object<K: Into<String>>(members: impl IntoIterator<Item = (K, JsonValue)>) -> JsonValue {
+        JsonValue::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// Single-line JSON (`{"a": 1, "b": [1, 2]}`), keys in sorted order.
+    pub fn write(&self) -> Result<String, JsonWriteError> {
+        let mut out = String::new();
+        self.write_into(&mut out, None)?;
+        Ok(out)
+    }
+
+    /// Indented JSON for files people diff: one object member or array
+    /// element per line, except that a container holding only scalars
+    /// stays on one line when it is an array or an array's element (so
+    /// a table row reads as a row).
+    pub fn write_pretty(&self) -> Result<String, JsonWriteError> {
+        let mut out = String::new();
+        self.write_into(&mut out, Some(0))?;
+        out.push('\n');
+        Ok(out)
+    }
+
+    fn is_flat(&self) -> bool {
+        let scalar = |v: &JsonValue| !matches!(v, JsonValue::Array(_) | JsonValue::Object(_));
+        match self {
+            JsonValue::Array(v) => v.iter().all(scalar),
+            JsonValue::Object(m) => m.values().all(scalar),
+            _ => true,
+        }
+    }
+
+    /// `depth` is `None` for single-line output, else the indent level.
+    fn write_into(&self, out: &mut String, depth: Option<usize>) -> Result<(), JsonWriteError> {
+        use std::fmt::Write;
+        let newline = |out: &mut String, depth: usize| {
+            out.push('\n');
+            out.extend(std::iter::repeat_n("  ", depth));
+        };
+        match self {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Num(n) if !n.is_finite() => return Err(JsonWriteError::NonFinite),
+            // Display never uses an exponent, so beyond 2^53 it would
+            // print an integer literal the parser rejects as inexact.
+            JsonValue::Num(n) if n.abs() > MAX_EXACT_INT => {
+                write!(out, "{n:e}").expect("write to String")
+            }
+            JsonValue::Num(n) => write!(out, "{n}").expect("write to String"),
+            JsonValue::Str(s) => {
+                out.push('"');
+                out.push_str(&escape_json(s));
+                out.push('"');
+            }
+            JsonValue::Array(v) => {
+                let depth = depth.filter(|_| !self.is_flat());
+                out.push('[');
+                for (i, item) in v.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(if depth.is_some() { "," } else { ", " });
+                    }
+                    if let Some(d) = depth {
+                        newline(out, d + 1);
+                    }
+                    // An element holding only scalars stays on its line.
+                    item.write_into(out, depth.map(|d| d + 1).filter(|_| !item.is_flat()))?;
+                }
+                if let Some(d) = depth {
+                    newline(out, d);
+                }
+                out.push(']');
+            }
+            JsonValue::Object(m) => {
+                let depth = depth.filter(|_| !m.is_empty());
+                out.push('{');
+                for (i, (k, v)) in m.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(if depth.is_some() { "," } else { ", " });
+                    }
+                    if let Some(d) = depth {
+                        newline(out, d + 1);
+                    }
+                    write!(out, "\"{}\": ", escape_json(k)).expect("write to String");
+                    v.write_into(out, depth.map(|d| d + 1))?;
+                }
+                if let Some(d) = depth {
+                    newline(out, d);
+                }
+                out.push('}');
+            }
+        }
+        Ok(())
+    }
+
     /// Parse a complete JSON document. Trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
@@ -68,7 +197,7 @@ impl JsonValue {
     /// The number as an exact unsigned integer, if it is one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 2f64.powi(53) => {
+            JsonValue::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= MAX_EXACT_INT => {
                 Some(*n as u64)
             }
             _ => None,
@@ -297,11 +426,21 @@ impl<'a> Parser<'a> {
         if !n.is_finite() {
             return Err(format!("non-finite number {text:?} at byte {start}"));
         }
+        // An integer literal beyond 2^53 has already been rounded by the
+        // f64 parse; refuse it instead of handing back a neighbour.
+        let exact = |digits: &str| {
+            digits
+                .parse::<u64>()
+                .is_ok_and(|i| i <= MAX_EXACT_INT as u64)
+        };
+        if !text.contains(['.', 'e', 'E']) && !exact(text.trim_start_matches('-')) {
+            return Err(format!("integer {text} at byte {start} exceeds 2^53"));
+        }
         Ok(JsonValue::Num(n))
     }
 }
 
-/// Escape a string for embedding in hand-rolled JSON output.
+/// Escape a string for embedding between JSON quotes.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
@@ -377,5 +516,63 @@ mod tests {
         let v = JsonValue::parse(r#"{"z": 1, "a": 2}"#).unwrap();
         let keys: Vec<&String> = v.as_object().unwrap().keys().collect();
         assert_eq!(keys, ["a", "z"]);
+    }
+
+    #[test]
+    fn written_values_parse_back_identically() {
+        let doc = JsonValue::object([
+            ("text", JsonValue::Str("a\"b\\c\n\u{1}é".into())),
+            ("neg_zero", JsonValue::Num(-0.0)),
+            ("rate", JsonValue::Num(332_879.5)),
+            ("tiny", JsonValue::Num(1.25e-300)),
+            ("huge", JsonValue::Num(1e300)),
+            ("max_int", JsonValue::uint(1 << 53).unwrap()),
+            ("flag", JsonValue::Bool(false)),
+            ("none", JsonValue::Null),
+            (
+                "rows",
+                JsonValue::Array(vec![
+                    JsonValue::Array(vec![JsonValue::Num(1.0), JsonValue::Str("x".into())]),
+                    JsonValue::object([("k", JsonValue::Array(vec![]))]),
+                    JsonValue::Object(BTreeMap::new()),
+                ]),
+            ),
+        ]);
+        for text in [doc.write().unwrap(), doc.write_pretty().unwrap()] {
+            let back = JsonValue::parse(&text).unwrap();
+            assert_eq!(back, doc, "{text}");
+            // PartialEq treats -0.0 == 0.0; the sign must survive too.
+            let z = back.get("neg_zero").and_then(JsonValue::as_f64).unwrap();
+            assert!(z.is_sign_negative(), "{text}");
+            assert_eq!(
+                back.get("max_int").and_then(JsonValue::as_u64),
+                Some(1 << 53)
+            );
+        }
+        assert!(!doc.write().unwrap().contains('\n'));
+        // A row of scalars stays on one line in the pretty form.
+        assert!(doc.write_pretty().unwrap().contains("[1, \"x\"]"));
+    }
+
+    #[test]
+    fn inexact_or_non_finite_numbers_are_errors_on_both_sides() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let nested = JsonValue::Array(vec![JsonValue::object([("x", JsonValue::Num(bad))])]);
+            assert_eq!(nested.write(), Err(JsonWriteError::NonFinite));
+            assert_eq!(nested.write_pretty(), Err(JsonWriteError::NonFinite));
+        }
+        let over = (1u128 << 53) + 1;
+        assert_eq!(
+            JsonValue::uint(over),
+            Err(JsonWriteError::IntegerTooLarge(over))
+        );
+        assert!(JsonValue::parse("9007199254740993").is_err());
+        assert!(JsonValue::parse("-9007199254740993").is_err());
+        assert!(JsonValue::parse("123456789012345678901234567890").is_err());
+        // The same magnitudes spelled as floats are ordinary numbers.
+        assert_eq!(
+            JsonValue::parse("9.007199254740993e15").unwrap().as_f64(),
+            Some(9_007_199_254_740_992.0)
+        );
     }
 }
