@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcs_bench::log_energies;
 use mcs_core::problem::{HmModel, Problem, ProblemConfig};
+use mcs_xs::AosLibrary;
 
 fn bench(c: &mut Criterion) {
     let cfg = ProblemConfig {
@@ -13,6 +14,7 @@ fn bench(c: &mut Criterion) {
     };
     let problem = Problem::hm(HmModel::Small, &cfg);
     let fuel = &problem.materials[0];
+    let aos = AosLibrary::build(problem.xs.lib());
     let energies = log_energies(256, 11);
 
     let mut g = c.benchmark_group("data_layout");
@@ -21,7 +23,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0;
             for &e in &energies {
-                acc += problem.xs.macro_xs_aos(fuel, e).total;
+                acc += problem.xs.macro_xs_aos(&aos, fuel, e).total;
             }
             acc
         })

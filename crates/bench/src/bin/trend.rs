@@ -2,10 +2,9 @@
 //!
 //! Ingests `results/BENCH_*.json` + `check_report.json`, appends one
 //! [`TrendRecord`](mcs_bench::trend::TrendRecord) to the per-leg
-//! JSONL history, classifies every
-//! metric against the trailing median baseline, prices each benchmark
-//! cell against the bandwidth roofline, writes `trend_report.json`,
-//! and exits non-zero on a sustained regression.
+//! JSONL history, classifies every metric against the trailing median
+//! baseline, writes `trend_report.json`, and exits non-zero on a
+//! sustained regression.
 //!
 //! Exit codes: `0` gate passed, `1` gate failed (sustained regression
 //! beyond tolerance), `2` the run itself failed (corrupt history,
@@ -14,13 +13,12 @@
 //! ```text
 //! trend [--results-dir DIR] [--history-dir DIR] [--leg TAG]
 //!       [--commit SHA] [--timestamp SECS] [--rate-tol PCT]
-//!       [--counter-tol PCT] [--sustain N] [--bandwidth-gbs GBS]
-//!       [--max-keep N] [--report FILE] [--dry-run]
+//!       [--counter-tol PCT] [--sustain N] [--max-keep N]
+//!       [--report FILE] [--dry-run]
 //! ```
 //!
 //! Environment fallbacks: `MCS_RESULTS_DIR`, `MCS_TREND_DIR`,
-//! `MCS_TREND_LEG`, `MCS_TREND_TIMESTAMP`, `MCS_TREND_BW_GBS`, `MCS_TREND_DEVICE`,
-//! `GITHUB_SHA`.
+//! `MCS_TREND_LEG`, `MCS_TREND_TIMESTAMP`, `GITHUB_SHA`.
 
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
@@ -69,8 +67,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: trend [--results-dir DIR] [--history-dir DIR] [--leg TAG] [--commit SHA]\n\
          \x20            [--timestamp SECS] [--rate-tol PCT] [--counter-tol PCT] [--sustain N]\n\
-         \x20            [--bandwidth-gbs GBS] [--device NAME] [--max-keep N]\n\
-         \x20            [--report FILE] [--dry-run]"
+         \x20            [--max-keep N] [--report FILE] [--dry-run]"
     );
     std::process::exit(2);
 }
@@ -81,14 +78,6 @@ fn parse_cli() -> Cli {
     let mut report_path: Option<PathBuf> = None;
     opts.leg = env_or("MCS_TREND_LEG", "local");
     opts.commit = String::new();
-    if let Ok(bw) = std::env::var("MCS_TREND_BW_GBS") {
-        opts.bandwidth_gbs = bw.parse().ok();
-    }
-    if let Ok(dev) = std::env::var("MCS_TREND_DEVICE") {
-        if !dev.is_empty() {
-            opts.reference_device = Some(dev);
-        }
-    }
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -119,11 +108,6 @@ fn parse_cli() -> Cli {
                 Ok(n) => opts.tolerances.sustain = n,
                 Err(_) => usage(),
             },
-            "--bandwidth-gbs" => match value("--bandwidth-gbs").parse() {
-                Ok(b) => opts.bandwidth_gbs = Some(b),
-                Err(_) => usage(),
-            },
-            "--device" => opts.reference_device = Some(value("--device")),
             "--max-keep" => match value("--max-keep").parse() {
                 Ok(n) => opts.max_keep = n,
                 Err(_) => usage(),
@@ -204,26 +188,6 @@ fn print_summary(out: &TrendOutcome) {
         }
     }
 
-    if !r.roofline.is_empty() {
-        println!();
-        println!(
-            "{:<16} {:<32} {:>12} {:>10} {:>12} {:>8}",
-            "benchmark", "cell", "rate", "B/op", "roofline", "%peak"
-        );
-        for c in &r.roofline {
-            println!(
-                "{:<16} {:<32} {:>12.3e} {:>10.1} {:>12.3e} {:>8.3}",
-                c.benchmark,
-                c.cell,
-                c.measured_rate,
-                c.bytes_per_op,
-                c.roofline_rate,
-                c.pct_of_roofline
-            );
-        }
-        println!("(%peak > 100 means caches absorb the span-priced traffic)");
-    }
-
     println!();
     if r.gate_passed() {
         println!(
@@ -257,7 +221,12 @@ fn main() -> ExitCode {
     if let Some(parent) = cli.report_path.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
-    if let Err(e) = std::fs::write(&cli.report_path, out.report.to_json()) {
+    let written = out
+        .report
+        .to_json()
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+        .and_then(|json| std::fs::write(&cli.report_path, json));
+    if let Err(e) = written {
         eprintln!(
             "trend: error: cannot write {}: {e}",
             cli.report_path.display()

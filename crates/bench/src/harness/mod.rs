@@ -20,7 +20,6 @@
 pub mod device_catalog;
 pub mod eigenvalue;
 pub mod event_parallel;
-pub mod event_queueing;
 pub mod fig1;
 pub mod fig2;
 pub mod fig3;
@@ -82,7 +81,6 @@ pub static HARNESSES: &[Harness] = &[
     futurework::HARNESS,
     eigenvalue::HARNESS,
     grid_backend::HARNESS,
-    event_queueing::HARNESS,
     geometry::HARNESS,
     serve_load::HARNESS,
     device_catalog::HARNESS,

@@ -3,9 +3,9 @@
 //! Every `BENCH_<harness>.json` is written by
 //! [`HarnessRun::write`](crate::harness::HarnessRun::write) and carries
 //! its own trend view (`trend.rates`, `trend.counters`, derived from
-//! the tables' column declarations), its exported instrumentation
-//! counters and its tables; ingestion merges those generically and
-//! never names a harness.
+//! the tables' column declarations) and its exported instrumentation
+//! counters; ingestion merges those generically and never names a
+//! harness.
 //!
 //! Discovery looks in the results dir *and* its `check/` subdirectory
 //! (where `mcs-check` leaves the fresh reduced-scale files of a CI
@@ -45,9 +45,6 @@ pub struct Ingested {
     pub rates: BTreeMap<String, f64>,
     /// Deterministic counters (per-cell + the exported `xs.*`/`geom.*`).
     pub counters: BTreeMap<String, u64>,
-    /// Rows of every ingested table, by table name, each an object
-    /// keyed by column name — what the roofline estimate reads.
-    pub tables: BTreeMap<String, Vec<JsonValue>>,
     /// Files that contributed to this record.
     pub sources: Vec<String>,
     /// Files found but not ingested, with the reason.
@@ -228,7 +225,7 @@ fn merge_counters(
 }
 
 /// Fold one `BENCH_<harness>.json` into the snapshot: its trend view,
-/// its exported counters, its host stamp and its table rows.
+/// its exported counters and its host stamp.
 fn ingest_bench(doc: &JsonValue, path: &Path, out: &mut Ingested) -> Result<(), TrendError> {
     let missing = |what: &str| parse_err(path, format!("missing {what}"));
     let trend = doc
@@ -248,18 +245,6 @@ fn ingest_bench(doc: &JsonValue, path: &Path, out: &mut Ingested) -> Result<(), 
     merge_counters(&mut out.counters, trend.get("counters"), path)?;
     if let Some(threads) = doc.get("host_threads").and_then(JsonValue::as_u64) {
         out.host_threads = (threads as usize).max(1);
-    }
-    for table in doc
-        .get("tables")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| missing("\"tables\" array"))?
-    {
-        let name = table.get("name").and_then(JsonValue::as_str);
-        let rows = table.get("rows").and_then(JsonValue::as_array);
-        let (Some(name), Some(rows)) = (name, rows) else {
-            return Err(missing("table \"name\" or \"rows\""));
-        };
-        out.tables.insert(name.to_string(), rows.to_vec());
     }
     Ok(())
 }

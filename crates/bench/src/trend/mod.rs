@@ -1,15 +1,13 @@
-//! Perf-trajectory trend surface: history, noise-aware gating, roofline.
+//! Perf-trajectory trend surface: history and noise-aware gating.
 //!
 //! `mcs-bench trend` closes the loop the per-commit benchmarks leave
 //! open: a single run tells you *where you are*, the trend tells you
 //! *which way you are moving*. Each invocation ingests the results
 //! directory ([`ingest`]), folds it into one versioned [`TrendRecord`],
 //! appends it to a per-ISA-leg JSONL history ([`history`]), classifies
-//! every metric against the trailing median baseline ([`delta`]),
-//! prices every benchmark cell against a bandwidth roofline
-//! ([`roofline`]), and emits a machine-readable
-//! `trend_report.json` ([`report`]) whose gate verdict decides the CI
-//! job's exit code.
+//! every metric against the trailing median baseline ([`delta`]), and
+//! emits a machine-readable `trend_report.json` ([`report`]) whose gate
+//! verdict decides the CI job's exit code.
 //!
 //! The pipeline is deliberately idempotent: re-running on identical
 //! inputs recognizes the trailing history record as the same
@@ -22,15 +20,12 @@ pub mod history;
 pub mod ingest;
 pub mod record;
 pub mod report;
-pub mod roofline;
 
 pub use delta::{rate_gate_warn_only, Tolerances};
 pub use record::TrendRecord;
 pub use report::TrendReport;
 
 use std::path::PathBuf;
-
-use mcs_device::MachineSpec;
 
 use crate::harness::{Harness, HARNESSES};
 
@@ -100,14 +95,6 @@ pub struct TrendOptions {
     pub timestamp: u64,
     /// Gate tolerances.
     pub tolerances: Tolerances,
-    /// DRAM bandwidth (GB/s) override for the roofline; `None` uses the
-    /// reference device's parameter.
-    pub bandwidth_gbs: Option<f64>,
-    /// Device-catalog entry whose machine model prices the roofline;
-    /// `None` uses the conservative CI-class reference host. Lets a
-    /// per-device-class trend history (e.g. a GPU runner leg) compare
-    /// its measured rates against its own ceiling.
-    pub reference_device: Option<String>,
     /// History records kept per leg (oldest trimmed beyond this).
     pub max_keep: usize,
     /// Whether to append the record (false = dry run: classify and
@@ -128,8 +115,6 @@ impl TrendOptions {
             commit: "unknown".to_string(),
             timestamp: 0,
             tolerances: Tolerances::default(),
-            bandwidth_gbs: None,
-            reference_device: None,
             max_keep: 500,
             append: true,
             harnesses: HARNESSES,
@@ -142,7 +127,7 @@ impl TrendOptions {
 pub struct TrendOutcome {
     /// The record built from this run's artifacts.
     pub record: TrendRecord,
-    /// The full report (gate verdict, deltas, roofline).
+    /// The full report (gate verdict, deltas).
     pub report: TrendReport,
     /// Whether the record was appended to the history (false on dry
     /// runs and idempotent re-runs of an already-recorded measurement).
@@ -151,8 +136,8 @@ pub struct TrendOutcome {
     pub history_len: usize,
 }
 
-/// Run the full trend pipeline: ingest → record → classify → roofline
-/// → report → (append).
+/// Run the full trend pipeline: ingest → record → classify → report →
+/// (append).
 pub fn run(opts: &TrendOptions) -> Result<TrendOutcome, TrendError> {
     let ing = ingest::ingest(&opts.results_dir, opts.harnesses)?;
 
@@ -162,8 +147,8 @@ pub fn run(opts: &TrendOptions) -> Result<TrendOutcome, TrendError> {
         leg: opts.leg.clone(),
         mcs_scale: ing.mcs_scale,
         host_threads: ing.host_threads,
-        rates: ing.rates.clone(),
-        counters: ing.counters.clone(),
+        rates: ing.rates,
+        counters: ing.counters,
     };
 
     let hist_path = history::history_file(&opts.history_dir, &opts.leg);
@@ -183,24 +168,6 @@ pub fn run(opts: &TrendOptions) -> Result<TrendOutcome, TrendError> {
     };
 
     let deltas = delta::classify(prior, &record, &opts.tolerances);
-
-    let mut spec = match &opts.reference_device {
-        Some(name) => {
-            mcs_device::catalog::device(name)
-                .map_err(|msg| TrendError::Parse {
-                    file: "reference device".to_string(),
-                    msg,
-                })?
-                .machine
-        }
-        None => MachineSpec::trend_reference_host(),
-    };
-    if let Some(bw) = opts.bandwidth_gbs {
-        if bw.is_finite() && bw > 0.0 {
-            spec.dram_gb_s = bw;
-        }
-    }
-    let roofline = roofline::estimate(&ing, &spec);
 
     let should_append = opts.append && !duplicate_of_tail;
     if should_append {
@@ -224,9 +191,8 @@ pub fn run(opts: &TrendOptions) -> Result<TrendOutcome, TrendError> {
         warn_only_rates: rate_gate_warn_only(record.host_threads),
         tolerances: opts.tolerances,
         deltas,
-        roofline,
-        sources: ing.sources.clone(),
-        skipped: ing.skipped.clone(),
+        sources: ing.sources,
+        skipped: ing.skipped,
     };
 
     Ok(TrendOutcome {

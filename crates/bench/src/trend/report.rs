@@ -1,20 +1,19 @@
 //! The machine-readable `trend_report.json`.
 //!
-//! Schema `mcs-trend-report/1`. The report carries everything CI (or a
+//! Schema `mcs-trend-report/2`. The report carries everything CI (or a
 //! human reading the artifact) needs to act on the gate without re-
-//! running anything: per-metric deltas with their classification,
-//! the roofline table, the gate verdict, and which files fed the
-//! record. [`schema_paths`] flattens a report to its sorted set of
-//! JSON key paths so a blessed golden under `results/golden/` catches
-//! schema drift exactly like the CSV goldens do.
+//! running anything: per-metric deltas with their classification, the
+//! gate verdict, and which files fed the record. [`schema_paths`]
+//! flattens a report to its sorted set of JSON key paths so a blessed
+//! golden under `results/golden/` catches schema drift exactly like the
+//! CSV goldens do.
 
-use mcs_prof::value::{escape_json, JsonValue};
+use mcs_prof::value::{JsonValue, JsonWriteError};
 
 use super::delta::{DeltaClass, MetricDelta, Tolerances};
-use super::roofline::RooflineCell;
 
 /// Schema tag stamped on every report.
-pub const REPORT_SCHEMA: &str = "mcs-trend-report/1";
+pub const REPORT_SCHEMA: &str = "mcs-trend-report/2";
 
 /// The full trend evaluation of one record against its history.
 #[derive(Debug, Clone)]
@@ -40,8 +39,6 @@ pub struct TrendReport {
     pub tolerances: Tolerances,
     /// Per-metric deltas, in metric order.
     pub deltas: Vec<MetricDelta>,
-    /// Roofline estimates per benchmark cell.
-    pub roofline: Vec<RooflineCell>,
     /// Files that fed the record.
     pub sources: Vec<String>,
     /// Files found but skipped, with reasons.
@@ -64,99 +61,61 @@ impl TrendReport {
         self.deltas.iter().filter(|d| d.class == class).count()
     }
 
-    /// Render the machine-readable report.
-    pub fn to_json(&self) -> String {
-        let num = mcs_check_num;
-        let mut s = String::with_capacity(8192);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": \"{REPORT_SCHEMA}\",\n"));
-        s.push_str(&format!("  \"leg\": \"{}\",\n", escape_json(&self.leg)));
-        s.push_str(&format!(
-            "  \"commit\": \"{}\",\n",
-            escape_json(&self.commit)
-        ));
-        s.push_str(&format!("  \"timestamp\": {},\n", self.timestamp));
-        s.push_str(&format!("  \"mcs_scale\": {},\n", num(self.mcs_scale)));
-        s.push_str(&format!("  \"host_threads\": {},\n", self.host_threads));
-        s.push_str(&format!("  \"history_len\": {},\n", self.history_len));
-        s.push_str(&format!("  \"appended\": {},\n", self.appended));
-        s.push_str("  \"gate\": {");
-        s.push_str(&format!(
-            "\"passed\": {}, \"n_gating\": {}, \"n_regressed\": {}, \"n_suspect\": {}, \
-             \"n_improved\": {}, \"warn_only_rates\": {}, ",
-            self.gate_passed(),
-            self.gating().count(),
-            self.n_class(DeltaClass::Regressed),
-            self.n_class(DeltaClass::Suspect),
-            self.n_class(DeltaClass::Improved),
-            self.warn_only_rates,
-        ));
-        s.push_str(&format!(
-            "\"tolerances\": {{\"rate_pct\": {}, \"counter_pct\": {}, \"sustain\": {}}}}},\n",
-            num(self.tolerances.rate_pct),
-            num(self.tolerances.counter_pct),
-            self.tolerances.sustain,
-        ));
-        s.push_str("  \"deltas\": [\n");
-        for (i, d) in self.deltas.iter().enumerate() {
-            let baseline = match d.baseline {
-                Some(b) => num(b),
-                None => "null".to_string(),
-            };
-            s.push_str(&format!(
-                "    {{\"metric\": \"{}\", \"kind\": \"{}\", \"current\": {}, \
-                 \"baseline\": {}, \"delta_pct\": {}, \"consecutive_bad\": {}, \
-                 \"class\": \"{}\", \"gating\": {}}}{}\n",
-                escape_json(&d.metric),
-                d.kind.name(),
-                num(d.current),
-                baseline,
-                num(d.delta_pct),
-                d.consecutive_bad,
-                d.class.name(),
-                d.gating,
-                if i + 1 < self.deltas.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"roofline\": [\n");
-        for (i, r) in self.roofline.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"benchmark\": \"{}\", \"cell\": \"{}\", \"unit\": \"{}\", \
-                 \"measured_rate\": {}, \"bytes_per_op\": {}, \"roofline_rate\": {}, \
-                 \"pct_of_roofline\": {}}}{}\n",
-                r.benchmark,
-                escape_json(&r.cell),
-                r.unit,
-                num(r.measured_rate),
-                num(r.bytes_per_op),
-                num(r.roofline_rate),
-                num(r.pct_of_roofline),
-                if i + 1 < self.roofline.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ],\n");
-        let str_list = |items: &[String]| -> String {
-            let q: Vec<String> = items
-                .iter()
-                .map(|x| format!("\"{}\"", escape_json(x)))
-                .collect();
-            q.join(", ")
+    /// Render the machine-readable report; a non-finite number is
+    /// `null`, a count above 2^53 an error.
+    pub fn to_json(&self) -> Result<String, JsonWriteError> {
+        let num = JsonValue::finite_or_null;
+        let uint = |n: usize| JsonValue::uint(n as u128);
+        let strs = |items: &[String]| {
+            JsonValue::Array(items.iter().cloned().map(JsonValue::Str).collect())
         };
-        s.push_str(&format!("  \"sources\": [{}],\n", str_list(&self.sources)));
-        s.push_str(&format!("  \"skipped\": [{}]\n", str_list(&self.skipped)));
-        s.push_str("}\n");
-        s
-    }
-}
-
-/// A finite f64 as a JSON number (NaN/inf → null), matching the
-/// convention of `check_report.json`.
-fn mcs_check_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+        let deltas = self
+            .deltas
+            .iter()
+            .map(|d| {
+                Ok(JsonValue::object([
+                    ("metric", JsonValue::Str(d.metric.clone())),
+                    ("kind", JsonValue::Str(d.kind.name().into())),
+                    ("current", num(d.current)),
+                    ("baseline", d.baseline.map_or(JsonValue::Null, num)),
+                    ("delta_pct", num(d.delta_pct)),
+                    ("consecutive_bad", uint(d.consecutive_bad)?),
+                    ("class", JsonValue::Str(d.class.name().into())),
+                    ("gating", JsonValue::Bool(d.gating)),
+                ]))
+            })
+            .collect::<Result<Vec<_>, JsonWriteError>>()?;
+        let gate = JsonValue::object([
+            ("passed", JsonValue::Bool(self.gate_passed())),
+            ("n_gating", uint(self.gating().count())?),
+            ("n_regressed", uint(self.n_class(DeltaClass::Regressed))?),
+            ("n_suspect", uint(self.n_class(DeltaClass::Suspect))?),
+            ("n_improved", uint(self.n_class(DeltaClass::Improved))?),
+            ("warn_only_rates", JsonValue::Bool(self.warn_only_rates)),
+            (
+                "tolerances",
+                JsonValue::object([
+                    ("rate_pct", num(self.tolerances.rate_pct)),
+                    ("counter_pct", num(self.tolerances.counter_pct)),
+                    ("sustain", uint(self.tolerances.sustain)?),
+                ]),
+            ),
+        ]);
+        JsonValue::object([
+            ("schema", JsonValue::Str(REPORT_SCHEMA.into())),
+            ("leg", JsonValue::Str(self.leg.clone())),
+            ("commit", JsonValue::Str(self.commit.clone())),
+            ("timestamp", JsonValue::uint(self.timestamp.into())?),
+            ("mcs_scale", num(self.mcs_scale)),
+            ("host_threads", uint(self.host_threads)?),
+            ("history_len", uint(self.history_len)?),
+            ("appended", JsonValue::Bool(self.appended)),
+            ("gate", gate),
+            ("deltas", JsonValue::Array(deltas)),
+            ("sources", strs(&self.sources)),
+            ("skipped", strs(&self.skipped)),
+        ])
+        .write_pretty()
     }
 }
 
@@ -234,15 +193,6 @@ mod tests {
                     gating: false,
                 },
             ],
-            roofline: vec![RooflineCell {
-                benchmark: "grid_backend",
-                cell: "grid.hash.b1000".into(),
-                unit: "lookups/s",
-                measured_rate: 900.0,
-                bytes_per_op: 19.8,
-                roofline_rate: 1e9,
-                pct_of_roofline: 9e-5,
-            }],
             sources: vec!["BENCH_grid_backend.json".into()],
             skipped: vec!["BENCH_event_parallel.json (no scale stamp)".into()],
         }
@@ -250,7 +200,7 @@ mod tests {
 
     #[test]
     fn report_is_valid_json_with_stable_paths() {
-        let text = sample_report().to_json();
+        let text = sample_report().to_json().unwrap();
         let v = JsonValue::parse(&text).expect("report must parse");
         assert_eq!(
             v.get("schema").and_then(JsonValue::as_str),
@@ -268,7 +218,6 @@ mod tests {
             "gate.tolerances.rate_pct",
             "deltas[].metric",
             "deltas[].class",
-            "roofline[].pct_of_roofline",
             "sources[]",
         ] {
             assert!(paths.contains(&must.to_string()), "missing path {must}");
@@ -282,16 +231,16 @@ mod tests {
         r.deltas[0].class = DeltaClass::Regressed;
         r.deltas[0].gating = true;
         assert!(!r.gate_passed());
-        let text = r.to_json();
+        let text = r.to_json().unwrap();
         assert!(text.contains("\"passed\": false"));
         assert!(text.contains("\"n_gating\": 1"));
         // The offending metric is named.
-        assert!(text.contains("\"metric\": \"grid.hash.b1000\", \"kind\": \"rate\""));
+        assert!(text.contains("\"kind\": \"rate\", \"metric\": \"grid.hash.b1000\""));
     }
 
     #[test]
     fn null_baseline_renders_as_null() {
-        let text = sample_report().to_json();
+        let text = sample_report().to_json().unwrap();
         assert!(text.contains("\"baseline\": null"));
     }
 }

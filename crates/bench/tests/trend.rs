@@ -58,32 +58,6 @@ fn write_results(dir: &Path, rate_factor: f64) {
     ]);
     write_bench(dir, "grid_backend", grid);
 
-    let mut eq = Table::new(
-        "BENCH_event_queueing",
-        vec![
-            Column::key("backend"),
-            Column::key("mode"),
-            Column::key("bank_size").prefixed("b"),
-            Column::measured("particles_measured_per_s", Fmt::Fixed(1)).trended(),
-            Column::counter("lookups").trended(),
-            Column::counter("bin_scan_steps").trended(),
-            Column::counter("gather_span_bytes").trended(),
-            Column::counter("gather_span_pairs").trended(),
-        ],
-    )
-    .trended("eq");
-    eq.push(vec![
-        "hash".into(),
-        "off".into(),
-        10_000usize.into(),
-        (27_000.0 * rate_factor).into(),
-        585_733u64.into(),
-        110_751u64.into(),
-        11_600_000u64.into(),
-        57_125u64.into(),
-    ]);
-    write_bench(dir, "event_queueing", eq);
-
     // check_report stamps a multi-thread host so rate regressions gate.
     fs::write(
         dir.join("check_report.json"),
@@ -161,7 +135,7 @@ fn injected_regression_must_trip_the_gate_when_sustained() {
         "2 consecutive bad records must fail the gate"
     );
     // The offending metric is named in the machine-readable report.
-    let json = second_bad.report.to_json();
+    let json = second_bad.report.to_json().unwrap();
     let gating: Vec<_> = second_bad.report.gating().collect();
     assert!(!gating.is_empty());
     assert!(gating.iter().any(|g| g.metric == "grid.hash.b10000"));
@@ -286,7 +260,7 @@ fn report_schema_matches_blessed_golden() {
     write_results(&results, 1.01);
     let out = trend::run(&opts(&results, &hist, "c1", 2)).unwrap();
 
-    let paths = report::schema_paths(&out.report.to_json()).unwrap();
+    let paths = report::schema_paths(&out.report.to_json().unwrap()).unwrap();
     let golden_path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../results/golden/trend_report.schema"
@@ -317,8 +291,9 @@ fn record_from_seed(seed: u64) -> TrendRecord {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     };
-    // Keys exercise the separators (and JSON-escaped chars) real cell
-    // IDs use, e.g. `eq.hash.material+energy.b10000.gather_span_bytes`.
+    // Keys exercise the separators (and JSON-escaped chars) cell IDs
+    // in committed histories use, e.g.
+    // `eq.hash.material+energy.b10000.gather_span_bytes`.
     let key = |n: u64| -> String {
         let stems = [
             "grid.hash",

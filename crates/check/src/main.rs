@@ -117,7 +117,8 @@ fn main() {
 
     let report_path = results_dir.join("check_report.json");
     fs::create_dir_all(&results_dir).expect("create results dir");
-    fs::write(&report_path, report.to_json()).expect("write check_report.json");
+    let json = report.to_json().expect("check report has a JSON form");
+    fs::write(&report_path, json).expect("write check_report.json");
 
     // Human-readable summary.
     println!(

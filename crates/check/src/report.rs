@@ -1,7 +1,7 @@
 //! Typed check outcomes and the machine-readable `check_report.json`.
 //!
-//! The JSON is hand-rolled like everywhere else in this workspace (no
-//! serde in the offline build environment). Schema:
+//! The JSON goes through [`JsonValue::write_pretty`] (keys in sorted
+//! order; a non-finite value is `null`). Schema:
 //!
 //! ```json
 //! {
@@ -17,7 +17,7 @@
 //!      "passed": true},
 //!     ...
 //!   ],
-//!   "counters": {"xs.bin_scan_steps": 676787, "xs.gather_span_bytes": 6036960, ...},
+//!   "counters": {"geom.find_steps": 654373, "geom.finds": 108724, ...},
 //!   "golden": [
 //!     {"artifact": "fig2_lookup_rates", "passed": true,
 //!      "detail": "6 rows, worst rel err 0.000e0"},
@@ -27,23 +27,20 @@
 //! ```
 
 pub use mcs_bench::harness::{check, check_warn, Band, CheckOutcome};
+use mcs_prof::value::{JsonValue, JsonWriteError};
 
 use crate::golden::GoldenOutcome;
 
-fn band_json(band: &Band) -> String {
+fn band_json(band: &Band) -> JsonValue {
+    let num = JsonValue::finite_or_null;
+    let kind = |k: &str| ("kind", JsonValue::Str(k.into()));
     match *band {
-        Band::Range { lo, hi } => format!(
-            "{{\"kind\": \"range\", \"lo\": {}, \"hi\": {}}}",
-            json_num(lo),
-            json_num(hi)
-        ),
-        Band::AtLeast(lo) => {
-            format!("{{\"kind\": \"at_least\", \"lo\": {}}}", json_num(lo))
+        Band::Range { lo, hi } => {
+            JsonValue::object([kind("range"), ("lo", num(lo)), ("hi", num(hi))])
         }
-        Band::AtMost(hi) => {
-            format!("{{\"kind\": \"at_most\", \"hi\": {}}}", json_num(hi))
-        }
-        Band::Holds => "{\"kind\": \"holds\"}".to_string(),
+        Band::AtLeast(lo) => JsonValue::object([kind("at_least"), ("lo", num(lo))]),
+        Band::AtMost(hi) => JsonValue::object([kind("at_most"), ("hi", num(hi))]),
+        Band::Holds => JsonValue::object([kind("holds")]),
     }
 }
 
@@ -56,9 +53,8 @@ pub struct CheckReport {
     pub threads: usize,
     /// Scalar invariants, in run order.
     pub invariants: Vec<CheckOutcome>,
-    /// Instrumentation counters the harnesses export (the `xs.*` set of
-    /// the event-queueing sweep's optimized hash run, the `geom.*` set
-    /// of the geometry sweep), as `(name, count)` in run order.
+    /// Instrumentation counters the harnesses export (e.g. the `geom.*`
+    /// set of the geometry sweep), as `(name, count)` in run order.
     pub counters: Vec<(String, u64)>,
     /// Golden-CSV comparisons, in run order.
     pub golden: Vec<GoldenOutcome>,
@@ -85,73 +81,47 @@ impl CheckReport {
         self.n_failed() == 0
     }
 
-    /// Render the machine-readable report.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        s.push_str("  \"schema\": \"mcs-check-report/2\",\n");
-        s.push_str(&format!("  \"scale\": {},\n", json_num(self.scale)));
-        s.push_str(&format!("  \"threads\": {},\n", self.threads));
-        s.push_str(&format!("  \"passed\": {},\n", self.passed()));
-        s.push_str(&format!("  \"n_invariants\": {},\n", self.invariants.len()));
-        s.push_str(&format!("  \"n_failed\": {},\n", self.n_failed()));
-        s.push_str("  \"invariants\": [\n");
-        for (i, c) in self.invariants.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"id\": {}, \"harness\": {}, \"description\": {}, \
-                 \"value\": {}, \"band\": {}, \"passed\": {}, \"warn\": {}}}{}\n",
-                json_str(c.id),
-                json_str(c.harness),
-                json_str(c.description),
-                json_num(c.value),
-                band_json(&c.band),
-                c.passed,
-                c.warn,
-                if i + 1 < self.invariants.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("{}: {}", json_str(k), v));
-        }
-        s.push_str("},\n");
-        s.push_str("  \"golden\": [\n");
-        for (i, g) in self.golden.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"artifact\": {}, \"passed\": {}, \"detail\": {}}}{}\n",
-                json_str(&g.artifact),
-                g.passed,
-                json_str(&g.detail),
-                if i + 1 < self.golden.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
+    /// Render the machine-readable report; a non-finite number (e.g.
+    /// "no crossover found") is `null`, a count above 2^53 an error.
+    pub fn to_json(&self) -> Result<String, JsonWriteError> {
+        let str = |s: &str| JsonValue::Str(s.into());
+        let uint = |n: usize| JsonValue::uint(n as u128);
+        let invariants = self.invariants.iter().map(|c| {
+            JsonValue::object([
+                ("id", str(c.id)),
+                ("harness", str(c.harness)),
+                ("description", str(c.description)),
+                ("value", JsonValue::finite_or_null(c.value)),
+                ("band", band_json(&c.band)),
+                ("passed", JsonValue::Bool(c.passed)),
+                ("warn", JsonValue::Bool(c.warn)),
+            ])
+        });
+        let counters = self
+            .counters
+            .iter()
+            .map(|(k, v)| Ok((k.as_str(), JsonValue::uint((*v).into())?)))
+            .collect::<Result<Vec<_>, JsonWriteError>>()?;
+        let golden = self.golden.iter().map(|g| {
+            JsonValue::object([
+                ("artifact", str(&g.artifact)),
+                ("passed", JsonValue::Bool(g.passed)),
+                ("detail", str(&g.detail)),
+            ])
+        });
+        JsonValue::object([
+            ("schema", str("mcs-check-report/2")),
+            ("scale", JsonValue::finite_or_null(self.scale)),
+            ("threads", uint(self.threads)?),
+            ("passed", JsonValue::Bool(self.passed())),
+            ("n_invariants", uint(self.invariants.len())?),
+            ("n_failed", uint(self.n_failed())?),
+            ("invariants", JsonValue::Array(invariants.collect())),
+            ("counters", JsonValue::object(counters)),
+            ("golden", JsonValue::Array(golden.collect())),
+        ])
+        .write_pretty()
     }
-}
-
-/// A finite f64 as a JSON number; NaN/inf (e.g. "no crossover found")
-/// become `null` so the report stays parseable.
-pub fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// A JSON string literal.
-pub fn json_str(s: &str) -> String {
-    format!("\"{}\"", mcs_prof::value::escape_json(s))
 }
 
 #[cfg(test)]
@@ -174,7 +144,7 @@ mod tests {
         });
         assert_eq!(r.n_failed(), 2);
         assert!(!r.passed());
-        let j = r.to_json();
+        let j = r.to_json().unwrap();
         assert!(j.contains("\"n_failed\": 2"));
         assert!(j.contains("\"passed\": false"));
     }
@@ -196,7 +166,7 @@ mod tests {
         assert_eq!(r.n_failed(), 0, "warn outcomes must not gate");
         assert_eq!(r.n_warned(), 1);
         assert!(r.passed());
-        let j = r.to_json();
+        let j = r.to_json().unwrap();
         assert!(j.contains("\"warn\": true"), "{j}");
         // A held warn-band invariant is not counted as warned.
         r.invariants
@@ -209,20 +179,15 @@ mod tests {
         let mut r = CheckReport::default();
         r.counters.push(("xs.gather_span_bytes".into(), 7));
         r.counters.push(("xs.lookups".into(), 42));
-        let j = r.to_json();
+        let j = r.to_json().unwrap();
         assert!(
-            j.contains("\"counters\": {\"xs.gather_span_bytes\": 7, \"xs.lookups\": 42}"),
+            j.contains(
+                "\"counters\": {\n    \"xs.gather_span_bytes\": 7,\n    \"xs.lookups\": 42\n  }"
+            ),
             "{j}"
         );
         // Empty set still renders a valid (empty) object.
-        let empty = CheckReport::default().to_json();
+        let empty = CheckReport::default().to_json().unwrap();
         assert!(empty.contains("\"counters\": {}"), "{empty}");
-    }
-
-    #[test]
-    fn json_escapes_are_sane() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_num(f64::NAN), "null");
-        assert_eq!(json_num(2.5), "2.5");
     }
 }

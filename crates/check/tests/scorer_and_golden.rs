@@ -44,7 +44,7 @@ fn scorer_evaluates_the_band_and_nan_serializes_as_null() {
     assert!(good.passed);
     let bad = check("X.test", "a non-finite value", f64::NAN, Band::AtLeast(0.0));
     assert!(!bad.passed);
-    // The hand-rolled JSON writer must not emit bare `NaN` (invalid JSON).
+    // The report must not emit bare `NaN` (invalid JSON).
     let report = CheckReport {
         scale: 0.1,
         threads: 1,
@@ -52,7 +52,7 @@ fn scorer_evaluates_the_band_and_nan_serializes_as_null() {
         counters: vec![],
         golden: vec![],
     };
-    let json = report.to_json();
+    let json = report.to_json().unwrap();
     assert!(json.contains("\"value\": null"), "{json}");
     assert!(!json.contains("NaN"), "{json}");
 }
@@ -76,13 +76,13 @@ fn perturbed_report_fails_and_says_so() {
     };
     assert!(report.passed());
     assert_eq!(report.n_failed(), 0);
-    assert!(report.to_json().contains("\"passed\": true"));
+    assert!(report.to_json().unwrap().contains("\"passed\": true"));
 
     report.invariants[0].value = 1.0; // perturb: balancing gain wiped out
     report.invariants[0].passed = report.invariants[0].band.admits(1.0);
     assert!(!report.passed());
     assert_eq!(report.n_failed(), 1);
-    let json = report.to_json();
+    let json = report.to_json().unwrap();
     assert!(json.contains("\"passed\": false"), "{json}");
     assert!(json.contains("\"n_failed\": 1"), "{json}");
 }

@@ -290,7 +290,6 @@ impl ExecutionPolicy for DistributedPolicy {
         let sources = ctx.sources;
         let streams = ctx.streams;
         let algorithm = ctx.algorithm;
-        let queueing = ctx.queueing;
         let assignments = &self.assignments;
         let fault_plan = &self.fault_plan;
 
@@ -311,8 +310,7 @@ impl ExecutionPolicy for DistributedPolicy {
                         let my_streams = &streams[lo..lo + count];
 
                         let t0 = Instant::now();
-                        let chunked =
-                            transport_chunks(problem, my_sources, my_streams, algorithm, &queueing);
+                        let chunked = transport_chunks(problem, my_sources, my_streams, algorithm);
                         let mut wall = t0.elapsed().as_secs_f64();
                         // Straggler injection inflates the *reported*
                         // time (what the adaptive balancer sees).

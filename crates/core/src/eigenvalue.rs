@@ -269,13 +269,8 @@ mod tests {
         let streams = crate::history::batch_streams(problem.seed, 0, n);
         let (hist, _, _) =
             crate::history::run_history_batch(&problem, &sources, &streams, None, false, None);
-        let (evt, _, _) = crate::event::event_transport_mesh_impl(
-            &problem,
-            &sources,
-            &streams,
-            None,
-            &crate::queueing::QueueingConfig::default(),
-        );
+        let (evt, _, _) =
+            crate::event::event_transport_mesh_impl(&problem, &sources, &streams, None);
         assert_eq!(hist.tallies.segments, evt.tallies.segments);
         assert_eq!(hist.tallies.collisions, evt.tallies.collisions);
         assert_eq!(hist.tallies.absorptions, evt.tallies.absorptions);

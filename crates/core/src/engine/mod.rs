@@ -42,7 +42,6 @@ use crate::history::batch_streams;
 use crate::mesh::{MeshSpec, MeshStats, MeshTally};
 use crate::particle::{Site, SourceSite};
 use crate::problem::Problem;
-use crate::queueing::QueueingConfig;
 use crate::spectrum::SpectrumTally;
 use crate::statepoint::Statepoint;
 use crate::tally::Tallies;
@@ -315,7 +314,6 @@ pub fn run_batches_observed(
             mesh: batch_mesh_spec,
             spectrum: false,
             profiler: None,
-            queueing: plan.queueing,
         };
         let t0 = Instant::now();
         let out = match policy.transport_batch(problem, &ctx) {
@@ -394,7 +392,6 @@ pub fn run_batches_observed(
             mesh: None,
             spectrum: true,
             profiler: None,
-            queueing: plan.queueing,
         };
         spectrum = policy
             .transport_batch(problem, &ctx)
@@ -491,8 +488,6 @@ pub struct BatchRequest<'a> {
     pub spectrum: bool,
     /// External profiler: forces the sequential fig. 4 history path.
     pub profiler: Option<&'a mcs_prof::ThreadProfiler>,
-    /// Stage-2 queueing for the event pipeline.
-    pub queueing: QueueingConfig,
 }
 
 impl Default for BatchRequest<'static> {
@@ -502,7 +497,6 @@ impl Default for BatchRequest<'static> {
             mesh: None,
             spectrum: false,
             profiler: None,
-            queueing: QueueingConfig::default(),
         }
     }
 }
@@ -524,7 +518,6 @@ pub fn transport_batch(
         mesh: req.mesh,
         spectrum: req.spectrum,
         profiler: req.profiler,
-        queueing: req.queueing,
     };
     match policy.transport_batch(problem, &ctx) {
         Ok(out) => out,
@@ -555,7 +548,6 @@ pub fn transport_chunks(
     sources: &[SourceSite],
     streams: &[Lcg63],
     algorithm: Algorithm,
-    queueing: &QueueingConfig,
 ) -> ChunkedBatch {
     match algorithm {
         Algorithm::History => {
@@ -574,7 +566,7 @@ pub fn transport_chunks(
         }
         Algorithm::EventBanking => {
             let (chunk_tallies, sites, stats) =
-                crate::event::run_event_transport_chunked_impl(problem, sources, streams, queueing);
+                crate::event::run_event_transport_chunked_impl(problem, sources, streams);
             ChunkedBatch {
                 chunk_tallies,
                 sites,

@@ -14,7 +14,6 @@ use mcs_geom::{RodPattern, TraversalKind};
 use crate::catalog;
 use crate::physics::AbsorptionTreatment;
 use crate::problem::{Problem, ProblemConfig};
-use crate::queueing::{QueueingConfig, QueueingMode};
 
 /// Which problem to build: a catalog entry name plus optional parameter
 /// overrides (the open replacement for the old closed `ModelRef` enum).
@@ -336,10 +335,6 @@ pub struct RunPlan {
     pub checkpoint_every: Option<usize>,
     /// Fission-chain depth cap (fixed-source mode only).
     pub max_chain: usize,
-    /// Stage-2 particle queueing for the event pipeline (ignored by the
-    /// history algorithm). Any setting is bitwise-equivalent; this is a
-    /// pure lookup-locality knob.
-    pub queueing: QueueingConfig,
     /// Execution policy to run under.
     pub policy: PolicySpec,
     /// Device model to price the run on (analytic layer only — the
@@ -365,7 +360,6 @@ impl Default for RunPlan {
             spectrum: false,
             checkpoint_every: None,
             max_chain: 100_000,
-            queueing: QueueingConfig::default(),
             policy: PolicySpec::Serial,
             device: DeviceRef::default(),
         }
@@ -470,18 +464,6 @@ impl RunPlan {
             "survival biasing: {}\n",
             if self.survival { "on" } else { "off" }
         ));
-        if self.algorithm == Algorithm::EventBanking {
-            s.push_str(&format!(
-                "event queueing:   {} ({} bins{})\n",
-                self.queueing.mode.name(),
-                self.queueing.energy_bins,
-                if self.queueing.fuel_split {
-                    ", fuel split"
-                } else {
-                    ""
-                }
-            ));
-        }
         s
     }
 
@@ -510,12 +492,7 @@ impl RunPlan {
             s.push_str(&format!("checkpoint_every = {every}\n"));
         }
         s.push_str(&format!("max_chain = {}\n", self.max_chain));
-        s.push_str(&format!("queueing = \"{}\"\n", self.queueing.mode.name()));
-        s.push_str(&format!("queueing_bins = {}\n", self.queueing.energy_bins));
-        s.push_str(&format!(
-            "queueing_fuel_split = {}\n",
-            self.queueing.fuel_split
-        ));
+        s.push_str(QUEUEING_SHIM_TOML);
         // Emitted only off-default so plans without the new knobs keep
         // their historic TOML text (and therefore their plan hash).
         if self.traversal != TraversalKind::default() {
@@ -694,20 +671,21 @@ impl RunPlan {
                     plan.checkpoint_every = Some(value.as_usize().map_err(|e| err(&e))?)
                 }
                 ("plan", "max_chain") => plan.max_chain = value.as_usize().map_err(|e| err(&e))?,
-                ("plan", "queueing") => {
-                    let name = value.as_str().map_err(|e| err(&e))?;
-                    plan.queueing.mode = QueueingMode::from_name(name).ok_or_else(|| {
-                        err(&format!(
-                            "unknown queueing mode \"{name}\" \
-                             (expected off | material | material+energy)"
-                        ))
-                    })?;
-                }
-                ("plan", "queueing_bins") => {
-                    plan.queueing.energy_bins = value.as_usize().map_err(|e| err(&e))?
-                }
-                ("plan", "queueing_fuel_split") => {
-                    plan.queueing.fuel_split = value.as_bool().map_err(|e| err(&e))?
+                ("plan", k @ ("queueing" | "queueing_bins" | "queueing_fuel_split")) => {
+                    let is_the_constant = match (k, &value) {
+                        ("queueing", Value::Str(s)) => s == "material",
+                        ("queueing_bins", Value::Int(4096)) => true,
+                        ("queueing_fuel_split", Value::Bool(false)) => true,
+                        _ => false,
+                    };
+                    if !is_the_constant {
+                        return Err(err(&format!(
+                            "`{k}` was removed in PR 13 (every setting was bit-identical \
+                             to \"material\"); only the constant lines `queueing = \
+                             \"material\"`, `queueing_bins = 4096` and \
+                             `queueing_fuel_split = false` are still accepted"
+                        )));
+                    }
                 }
                 ("policy", "kind") => {
                     policy_kind = Some(value.as_str().map_err(|e| err(&e))?.to_string())
@@ -743,13 +721,21 @@ impl RunPlan {
         if plan.particles == 0 {
             return Err(invalid("plan has zero particles".to_string()));
         }
-        plan.queueing.validate().map_err(invalid)?;
         // Validate the full model spec (overrides included) up front, so
         // `build_problem` cannot fail later on a parsed plan.
         catalog::config_for(&plan.model).map_err(invalid)?;
         Ok(plan)
     }
 }
+
+/// Compatibility shim: the three stage-2 queueing keys, removed as options
+/// in PR 13 (by-material bucketing is the only ordering), are still
+/// emitted as constants — and accepted only with these values — so every
+/// plan hash, serve cache key and committed `benchmark/workloads/*.toml`
+/// stays byte-identical. Lives until a `benchmark` PR regenerates the
+/// plan files; then this const and its `from_toml` arms go.
+const QUEUEING_SHIM_TOML: &str =
+    "queueing = \"material\"\nqueueing_bins = 4096\nqueueing_fuel_split = false\n";
 
 /// Truncate `line` at the first `#` that is outside a quoted string.
 fn strip_comment(line: &str) -> &str {
@@ -886,11 +872,6 @@ mod tests {
             spectrum: true,
             checkpoint_every: Some(3),
             max_chain: 42,
-            queueing: QueueingConfig {
-                mode: QueueingMode::MaterialEnergy,
-                energy_bins: 512,
-                fuel_split: true,
-            },
             policy: PolicySpec::Distributed { ranks: 4 },
             device: DeviceRef::named("knc-7120a"),
         };
@@ -899,14 +880,28 @@ mod tests {
     }
 
     #[test]
-    fn queueing_fields_parse_and_validate() {
-        let text = "[plan]\nqueueing = \"off\"\nqueueing_bins = 128\n";
-        let plan = RunPlan::from_toml(text).expect("parse");
-        assert_eq!(plan.queueing.mode, QueueingMode::Off);
-        assert_eq!(plan.queueing.energy_bins, 128);
-        assert!(!plan.queueing.fuel_split);
-        assert!(RunPlan::from_toml("[plan]\nqueueing = \"bogus\"\n").is_err());
-        assert!(RunPlan::from_toml("[plan]\nqueueing_bins = 100\n").is_err());
+    fn removed_queueing_keys_accept_only_their_constants() {
+        let ok = format!("[plan]\n{QUEUEING_SHIM_TOML}");
+        assert_eq!(RunPlan::from_toml(&ok).expect("parse"), RunPlan::default());
+        for bad in [
+            "queueing = \"off\"",
+            "queueing = \"material+energy\"",
+            "queueing = \"bogus\"",
+            "queueing = 4096",
+            "queueing_bins = 128",
+            "queueing_fuel_split = true",
+        ] {
+            // Line 3: after a comment line and the section header.
+            let err = RunPlan::from_toml(&format!("# c\n[plan]\n{bad}\n")).unwrap_err();
+            match err {
+                PlanError::Parse { line, ref msg } => {
+                    assert_eq!(line, Some(3), "{bad}");
+                    assert!(msg.contains("removed in PR 13"), "{bad}: {msg}");
+                    assert!(msg.contains("bit-identical"), "{bad}: {msg}");
+                }
+                other => panic!("{bad}: expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,6 @@ use crate::history::TransportOutcome;
 use crate::mesh::{MeshSpec, MeshTally};
 use crate::particle::SourceSite;
 use crate::problem::Problem;
-use crate::queueing::QueueingConfig;
 use crate::spectrum::SpectrumTally;
 
 /// A policy-level stop request (e.g. every simulated rank has died).
@@ -54,10 +53,6 @@ pub struct BatchContext<'a> {
     /// External profiler: forces the sequential single-accumulator
     /// history path that fig. 4 measures (history algorithm only).
     pub profiler: Option<&'a ThreadProfiler>,
-    /// Stage-2 particle queueing for the event pipeline (ignored by the
-    /// history algorithm). Pure lookup-order knob: every setting is
-    /// bitwise-equivalent.
-    pub queueing: QueueingConfig,
 }
 
 /// What a policy returns for one transported batch.
@@ -145,7 +140,6 @@ pub(crate) fn transport_on_current_pool(problem: &Problem, ctx: &BatchContext<'_
                 ctx.sources,
                 ctx.streams,
                 ctx.mesh,
-                &ctx.queueing,
             );
             BatchOutput {
                 outcome,

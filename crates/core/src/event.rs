@@ -6,12 +6,11 @@
 //! iteration, through staged kernels:
 //!
 //! 1. **Locate** — resolve each particle's cell (leaks terminate here).
-//! 2. **XS lookup** — the bank is partitioned into per-material (and
-//!    optionally per-log-E-bin) queues by [`crate::queueing`] and each
-//!    queue is fed through the gather-indexed banked kernel
+//! 2. **XS lookup** — the bank is bucketed by material
+//!    ([`bucket_by_material`]) and each bucket is fed, in ≤[`CHUNK`]
+//!    tasks, through the gather-indexed banked kernel
 //!    ([`mcs_xs::XsContext::batch_macro_xs_simd_indexed`], Fig. 2's
-//!    banked lookup with the inner loop over nuclides vectorized;
-//!    energy-ordered queues take the warm-start variant).
+//!    banked lookup with the inner loop over nuclides vectorized).
 //! 3. **Distance sampling** — `d = −ln ξ / Σ_t` across the bank (the
 //!    Table I kernel): uniforms via the batched-stream fill in
 //!    `mcs-rng`, the negate/divide 8-wide in [`F64x8`].
@@ -48,7 +47,6 @@ use crate::mesh::{MeshSpec, MeshTally};
 use crate::particle::{sort_sites, ParticleBank, Site, SourceSite};
 use crate::physics::{apply_physics, collide, CollisionOutcome};
 use crate::problem::Problem;
-use crate::queueing::{build_queues, material_order, QueueBuffers, QueueingConfig};
 use crate::tally::Tallies;
 use crate::E_FLOOR;
 
@@ -135,6 +133,76 @@ impl<'a, T: Copy> SyncSlice<'a, T> {
     }
 }
 
+/// One stage-2 lookup task: particles `queued[start..end]` share material
+/// `mat`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueueTask {
+    /// Material id shared by the task's particles.
+    pub mat: u32,
+    /// Start offset into [`QueueBuffers::queued`].
+    pub start: u32,
+    /// End offset (exclusive).
+    pub end: u32,
+}
+
+/// Reused scratch for [`bucket_by_material`]: the per-material buckets,
+/// the flattened queue, and the task list. Allocation-stable across event
+/// generations.
+#[derive(Debug, Default)]
+pub struct QueueBuffers {
+    buckets: Vec<Vec<u32>>,
+    /// The queued live list: the `alive` slice handed to
+    /// [`bucket_by_material`], grouped by material.
+    pub queued: Vec<u32>,
+    /// Lookup tasks over `queued`, each at most `chunk` long.
+    pub tasks: Vec<QueueTask>,
+}
+
+impl QueueBuffers {
+    /// Buffers for a problem with `n_materials` materials.
+    pub fn new(n_materials: usize) -> Self {
+        Self {
+            buckets: vec![Vec::new(); n_materials],
+            ..Self::default()
+        }
+    }
+}
+
+/// Partition the live list into single-material lookup tasks (a banked
+/// lookup needs one material): buckets drain in material-id order, each
+/// keeps live-list order, and each is cut into ≤`chunk` tasks.
+///
+/// `material` is the bank's column indexed by particle id. On return
+/// `bufs.queued` is a permutation of `alive` and `bufs.tasks` tiles it
+/// exactly; the partition depends only on `alive`'s order — never on
+/// thread count — so instrumentation counters stay deterministic. The
+/// order itself is physically irrelevant: per-particle RNG streams and
+/// per-particle float-tally slots mean stage 2 can resolve cross sections
+/// in any order without changing a trajectory, a draw, or a tally fold.
+pub fn bucket_by_material(alive: &[u32], material: &[u32], chunk: usize, bufs: &mut QueueBuffers) {
+    bufs.queued.clear();
+    bufs.tasks.clear();
+    for b in &mut bufs.buckets {
+        b.clear();
+    }
+    for &iu in alive {
+        bufs.buckets[material[iu as usize] as usize].push(iu);
+    }
+    for (m, bucket) in bufs.buckets.iter().enumerate() {
+        let mut start = bufs.queued.len();
+        bufs.queued.extend_from_slice(bucket);
+        while start < bufs.queued.len() {
+            let end = (start + chunk).min(bufs.queued.len());
+            bufs.tasks.push(QueueTask {
+                mat: m as u32,
+                start: start as u32,
+                end: end as u32,
+            });
+            start = end;
+        }
+    }
+}
+
 /// Raw pipeline output before the canonical float fold: integer tallies
 /// and sorted sites in `out`, floats still in per-particle slots.
 struct PipelineRaw {
@@ -154,9 +222,8 @@ pub(crate) fn event_transport_mesh_impl(
     sources: &[SourceSite],
     streams: &[Lcg63],
     mesh_spec: Option<MeshSpec>,
-    queueing: &QueueingConfig,
 ) -> (TransportOutcome, EventStats, Option<MeshTally>) {
-    let mut raw = event_pipeline(problem, sources, streams, mesh_spec, queueing);
+    let mut raw = event_pipeline(problem, sources, streams, mesh_spec);
     // Canonical float-tally reduction: each particle's slot already holds
     // its segment-ordered sum; folding CHUNK slots per partial and the
     // partials in order rebuilds the exact reduction tree the history
@@ -188,9 +255,8 @@ pub(crate) fn run_event_transport_chunked_impl(
     problem: &Problem,
     sources: &[SourceSite],
     streams: &[Lcg63],
-    queueing: &QueueingConfig,
 ) -> (Vec<Tallies>, Vec<Site>, EventStats) {
-    let raw = event_pipeline(problem, sources, streams, None, queueing);
+    let raw = event_pipeline(problem, sources, streams, None);
     let n = sources.len();
     let n_chunks = n.div_ceil(CHUNK);
     let mut chunk_tallies = vec![Tallies::default(); n_chunks];
@@ -218,7 +284,6 @@ fn event_pipeline(
     sources: &[SourceSite],
     streams: &[Lcg63],
     mesh_spec: Option<MeshSpec>,
-    queueing: &QueueingConfig,
 ) -> PipelineRaw {
     let mut mesh = mesh_spec.map(MeshTally::new);
     let mut bank = ParticleBank::from_sources(sources, streams);
@@ -249,7 +314,6 @@ fn event_pipeline(
     let mut kt_pp = vec![0.0f64; n];
     let mut kc_pp = vec![0.0f64; n];
     let mut ka_pp = vec![0.0f64; n];
-    let mat_order = material_order(&problem.materials, queueing.fuel_split);
     let mut qbufs = QueueBuffers::new(problem.n_materials());
     let survival = !matches!(
         problem.treatment,
@@ -302,32 +366,19 @@ fn event_pipeline(
             break;
         }
 
-        // --- Stage 2: banked XS lookups over material/energy queues ----
-        // Per-particle RNG streams make the processing order irrelevant
-        // to reproducibility, so the queueing layer is free to permute
-        // the live list ([`crate::queueing`]): by material (a lookup task
-        // needs one material), and optionally by log-E bin within each
-        // material so the banked gathers walk near-contiguous grid rows.
-        // A single serial partition pass builds ≤CHUNK-sized tasks; the
-        // tasks then run in parallel, each gathering its queue's energies
-        // into the vectorized banked kernel (warm-start variant for
-        // energy-ordered queues) and applying the per-particle physics
-        // corrections (URR sampling draws) afterwards — exactly
+        // --- Stage 2: banked XS lookups over material buckets -----------
+        // A single serial partition pass builds ≤CHUNK-sized
+        // single-material tasks; the tasks then run in parallel, each
+        // gathering its queue's energies into the vectorized banked
+        // kernel and applying the per-particle physics corrections (URR
+        // sampling draws) afterwards — exactly
         // `Problem::macro_xs_vector`, batched.
         {
             let _g = prof.enter(EventStats::STAGE_NAMES[1]);
             for &iu in &bank.alive {
                 out.tallies.record_segment(bank.material[iu as usize]);
             }
-            build_queues(
-                queueing,
-                &mat_order,
-                &bank.alive,
-                &bank.material,
-                &bank.energy,
-                CHUNK,
-                &mut qbufs,
-            );
+            bucket_by_material(&bank.alive, &bank.material, CHUNK, &mut qbufs);
             let energy = &bank.energy[..];
             let queued = &qbufs.queued[..];
             let rng = SyncSlice::new(&mut bank.rng);
@@ -338,18 +389,9 @@ fn event_pipeline(
                 let mat = &problem.materials[mat_id as usize];
                 let mut base = [MacroXs::default(); CHUNK];
                 let m = idxs.len();
-                if t.binned {
-                    problem.xs.batch_macro_xs_simd_indexed_binned(
-                        mat,
-                        energy,
-                        idxs,
-                        &mut base[..m],
-                    );
-                } else {
-                    problem
-                        .xs
-                        .batch_macro_xs_simd_indexed(mat, energy, idxs, &mut base[..m]);
-                }
+                problem
+                    .xs
+                    .batch_macro_xs_simd_indexed(mat, energy, idxs, &mut base[..m]);
                 for (k, &iu) in idxs.iter().enumerate() {
                     let i = iu as usize;
                     let mut xs = base[k];
@@ -639,15 +681,13 @@ mod tests {
     use crate::history::batch_streams;
     use crate::problem::Problem;
 
-    /// Test shorthand for the merged event run without a mesh, default
-    /// (material) queueing.
+    /// Test shorthand for the merged event run without a mesh.
     fn run_event(
         problem: &Problem,
         sources: &[SourceSite],
         streams: &[Lcg63],
     ) -> (TransportOutcome, EventStats) {
-        let (out, stats, _) =
-            event_transport_mesh_impl(problem, sources, streams, None, &QueueingConfig::default());
+        let (out, stats, _) = event_transport_mesh_impl(problem, sources, streams, None);
         (out, stats)
     }
 
@@ -738,15 +778,7 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            pool.install(|| {
-                event_transport_mesh_impl(
-                    &problem,
-                    &sources,
-                    &streams,
-                    Some(spec),
-                    &QueueingConfig::default(),
-                )
-            })
+            pool.install(|| event_transport_mesh_impl(&problem, &sources, &streams, Some(spec)))
         };
         let (out1, stats1, mesh1) = run(1);
         let (out2, stats2, mesh2) = run(2);
@@ -835,12 +867,7 @@ mod tests {
         let sources = problem.sample_initial_source(n, 0);
         let streams = batch_streams(problem.seed, 0, n);
         let (merged, merged_stats) = run_event(&problem, &sources, &streams);
-        let (chunks, sites, stats) = run_event_transport_chunked_impl(
-            &problem,
-            &sources,
-            &streams,
-            &QueueingConfig::default(),
-        );
+        let (chunks, sites, stats) = run_event_transport_chunked_impl(&problem, &sources, &streams);
         assert_eq!(chunks.len(), n.div_ceil(CHUNK));
         let mut rebuilt = Tallies::default();
         for c in &chunks {
@@ -915,85 +942,5 @@ mod tests {
         let (out, stats) = run_event(&problem, &[], &[]);
         assert_eq!(out.tallies.n_particles, 0);
         assert_eq!(stats.iterations, 0);
-    }
-
-    /// Queueing permutes only the lookup order: every mode (and the fuel
-    /// split) must reproduce the default run bit for bit — tallies,
-    /// sites, mesh, and op counters alike.
-    #[test]
-    fn queueing_modes_are_bitwise_equivalent() {
-        use crate::queueing::QueueingMode;
-        let problem = Problem::test_small();
-        let n = 500;
-        let sources = problem.sample_initial_source(n, 2);
-        let streams = batch_streams(problem.seed, 1, n);
-        let spec = MeshSpec::covering(problem.geometry.bounds, 4, 4, 2);
-        let run = |cfg: &QueueingConfig| {
-            event_transport_mesh_impl(&problem, &sources, &streams, Some(spec), cfg)
-        };
-        let (base, base_stats, base_mesh) = run(&QueueingConfig::default());
-        let variants = [
-            QueueingConfig {
-                mode: QueueingMode::Off,
-                ..QueueingConfig::default()
-            },
-            QueueingConfig {
-                mode: QueueingMode::MaterialEnergy,
-                ..QueueingConfig::default()
-            },
-            QueueingConfig {
-                mode: QueueingMode::MaterialEnergy,
-                energy_bins: 64,
-                fuel_split: true,
-            },
-            QueueingConfig {
-                fuel_split: true,
-                ..QueueingConfig::default()
-            },
-        ];
-        for cfg in &variants {
-            let (out, stats, mesh) = run(cfg);
-            assert_eq!(base.tallies, out.tallies, "{:?}", cfg.mode);
-            assert_eq!(base.sites, out.sites, "{:?}", cfg.mode);
-            assert_eq!(
-                base_mesh.as_ref().unwrap().bins,
-                mesh.as_ref().unwrap().bins,
-                "{:?}",
-                cfg.mode
-            );
-            assert_eq!(base_stats.iterations, stats.iterations);
-            assert_eq!(base_stats.lookups, stats.lookups);
-            assert_eq!(base_stats.peak_bank, stats.peak_bank);
-        }
-    }
-
-    /// On the hash backend, energy queueing + warm-start must spend fewer
-    /// in-bin scan steps per lookup than material-only queueing — the
-    /// locality claim of the ablation, asserted at test scale.
-    #[test]
-    fn energy_queueing_reduces_hash_scan_steps() {
-        use crate::problem::GridBackendKind;
-        use crate::queueing::QueueingMode;
-        let problem = Problem::test_small_with_backend(GridBackendKind::HashBinned);
-        let n = 600;
-        let sources = problem.sample_initial_source(n, 4);
-        let streams = batch_streams(problem.seed, 2, n);
-        let run = |mode: QueueingMode| {
-            problem.xs.reset_counters();
-            let cfg = QueueingConfig {
-                mode,
-                ..QueueingConfig::default()
-            };
-            let (out, _, _) = event_transport_mesh_impl(&problem, &sources, &streams, None, &cfg);
-            (out, problem.xs.bin_scan_steps(), problem.xs.lookups())
-        };
-        let (base, mat_steps, mat_lookups) = run(QueueingMode::Material);
-        let (binned, bin_steps, bin_lookups) = run(QueueingMode::MaterialEnergy);
-        assert_eq!(base.tallies, binned.tallies);
-        assert_eq!(mat_lookups, bin_lookups);
-        assert!(
-            bin_steps < mat_steps,
-            "energy queueing took {bin_steps} scan steps vs {mat_steps} material-only"
-        );
     }
 }

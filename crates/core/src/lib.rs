@@ -40,7 +40,6 @@ pub mod mesh;
 pub mod particle;
 pub mod physics;
 pub mod problem;
-pub mod queueing;
 pub mod spectrum;
 pub mod statepoint;
 pub mod tally;
@@ -56,7 +55,6 @@ pub use mcs_geom::{CoreSpec, MaterialRole, RodPattern, TraversalKind};
 pub use mesh::{MeshSpec, MeshTally};
 pub use particle::{Particle, ParticleBank, Site, SourceSite};
 pub use problem::{HmModel, Problem};
-pub use queueing::{QueueingConfig, QueueingMode};
 pub use spectrum::SpectrumTally;
 pub use statepoint::Statepoint;
 pub use tally::Tallies;

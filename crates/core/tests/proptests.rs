@@ -152,53 +152,31 @@ fn balance_partition_properties() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Whatever the mode, bin count, fuel split, drain order, or chunk
-    /// cap, `build_queues` emits a permutation of the live list tiled
-    /// exactly by single-material tasks — the structural property the
-    /// event engine's bitwise-determinism argument stands on.
+    /// Whatever the material mix or chunk cap, `bucket_by_material`
+    /// emits the live list grouped by material (material-id order,
+    /// live-list order within a material) and tiled exactly by
+    /// single-material tasks — the structural property the event
+    /// engine's bitwise-determinism argument stands on.
     #[test]
     fn queue_partition_is_a_permutation(
-        n in 1usize..600,
+        n in 0usize..600,
         n_mats in 1usize..5,
-        mode_sel in 0u8..3,
-        bins_log2 in 0u32..13,
-        fuel_order in any::<bool>(),
         chunk in 1usize..300,
         seed in any::<u64>(),
     ) {
-        use mcs_core::queueing::{
-            build_queues, QueueBuffers, QueueingConfig, QueueingMode,
-        };
+        use mcs_core::event::{bucket_by_material, QueueBuffers};
         let mut rng = Lcg63::new(seed | 1);
         let alive: Vec<u32> = (0..n as u32).collect();
         let material: Vec<u32> = (0..n)
             .map(|_| (rng.next_uniform() * n_mats as f64) as u32 % n_mats as u32)
             .collect();
-        let energy: Vec<f64> = (0..n)
-            .map(|_| 1.5e-11 * (rng.next_uniform() * 19.0).exp())
-            .collect();
-        // Any permutation is a legal drain order; reversal exercises a
-        // non-identity one without needing a shuffle.
-        let mut mat_order: Vec<u32> = (0..n_mats as u32).collect();
-        if fuel_order {
-            mat_order.reverse();
-        }
-        let cfg = QueueingConfig {
-            mode: match mode_sel {
-                0 => QueueingMode::Off,
-                1 => QueueingMode::Material,
-                _ => QueueingMode::MaterialEnergy,
-            },
-            energy_bins: 1usize << bins_log2,
-            fuel_split: fuel_order,
-        };
         let mut bufs = QueueBuffers::new(n_mats);
-        build_queues(&cfg, &mat_order, &alive, &material, &energy, chunk, &mut bufs);
+        bucket_by_material(&alive, &material, chunk, &mut bufs);
 
-        // Permutation: same multiset (here: same sorted set, ids unique).
-        let mut q = bufs.queued.clone();
-        q.sort_unstable();
-        prop_assert_eq!(&q, &alive, "queued is not a permutation of alive");
+        // A stable sort of the live list by material — so a permutation.
+        let mut grouped = alive.clone();
+        grouped.sort_by_key(|&iu| material[iu as usize]);
+        prop_assert_eq!(&bufs.queued, &grouped);
 
         // Tasks tile `queued` exactly, respect the cap, stay one-material.
         let mut cursor = 0u32;

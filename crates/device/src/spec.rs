@@ -198,52 +198,6 @@ impl MachineSpec {
         }
     }
 
-    /// Generic commodity-runner reference used by the `mcs-bench trend`
-    /// roofline estimates: a conservative desktop/CI-class machine
-    /// (4 OOO cores, AVX2, dual-channel DDR4 at ~20 GB/s sustained).
-    /// The trend surface compares *this host's* measured rates against a
-    /// bandwidth ceiling, so the only parameter that matters is
-    /// `dram_gb_s`; it is deliberately conservative so percent-of-
-    /// roofline stays interpretable (and comparable) across unknown
-    /// hosts. Override per run with `MCS_TREND_BW_GBS`.
-    pub fn trend_reference_host() -> Self {
-        Self {
-            name: "trend reference host (CI class)",
-            cores: 4,
-            threads_per_core: 2,
-            clock_ghz: 3.0,
-            f32_lanes: 8,
-            f64_lanes: 4,
-            scalar_ipc: 2.0,
-            vector_ipc: 1.0,
-            dep_latency_cycles: 4.0,
-            call_cycles: 50.0,
-            libm_cycles: 150.0,
-            gather_scalar_ns: 1.2,
-            gather_vector_ns: 0.6,
-            dram_gb_s: 20.0,
-            mem_gb: 16.0,
-        }
-    }
-
-    /// Sustained DRAM bandwidth in bytes/s (the roofline denominator).
-    pub fn dram_bytes_per_s(&self) -> f64 {
-        self.dram_gb_s * 1e9
-    }
-
-    /// Bandwidth-roofline throughput for an operation that moves
-    /// `bytes_per_op` from DRAM: the best possible ops/s if the kernel
-    /// were purely memory-bound on this machine. Returns `f64::INFINITY`
-    /// for `bytes_per_op <= 0` (an operation that touches no memory has
-    /// no bandwidth ceiling).
-    pub fn roofline_ops_per_s(&self, bytes_per_op: f64) -> f64 {
-        if bytes_per_op <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.dram_bytes_per_s() / bytes_per_op
-        }
-    }
-
     /// Total hardware threads.
     pub fn total_threads(&self) -> u32 {
         self.cores * self.threads_per_core
@@ -381,25 +335,6 @@ mod tests {
         // And its vector peak exceeds KNC's.
         assert!(knl.vector_lane_rate_f64() > knc.vector_lane_rate_f64());
         assert!(knl.dram_gb_s > knc.dram_gb_s);
-    }
-
-    #[test]
-    fn roofline_rate_is_bandwidth_over_bytes() {
-        let spec = MachineSpec::trend_reference_host();
-        assert_eq!(spec.dram_bytes_per_s(), 20e9);
-        // 100 B/op at 20 GB/s → 2e8 ops/s.
-        assert!((spec.roofline_ops_per_s(100.0) - 2e8).abs() < 1.0);
-        // Zero-byte ops have no bandwidth ceiling.
-        assert_eq!(spec.roofline_ops_per_s(0.0), f64::INFINITY);
-        // The ceiling agrees with the kernel_time model's memory leg.
-        let c = KernelCounts {
-            stream_bytes: 100.0 * 1e6,
-            ..Default::default()
-        };
-        let t = spec.kernel_time(&c);
-        assert!((1e6 / t - spec.roofline_ops_per_s(100.0)).abs() / 2e8 < 1e-9);
-        // Reference host is deliberately slower than the paper machines.
-        assert!(spec.dram_gb_s < MachineSpec::host_e5_2687w().dram_gb_s);
     }
 
     #[test]

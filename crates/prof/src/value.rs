@@ -69,6 +69,16 @@ impl JsonValue {
         }
     }
 
+    /// `v` as a number, or `null` when it is NaN or an infinity — how
+    /// the reports spell "no value" while staying writable.
+    pub fn finite_or_null(v: f64) -> JsonValue {
+        if v.is_finite() {
+            JsonValue::Num(v)
+        } else {
+            JsonValue::Null
+        }
+    }
+
     /// An object from `(key, value)` pairs.
     pub fn object<K: Into<String>>(members: impl IntoIterator<Item = (K, JsonValue)>) -> JsonValue {
         JsonValue::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())

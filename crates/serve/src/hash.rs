@@ -14,7 +14,7 @@
 //!    equal to the model default are the same run, so the canonical
 //!    text always carries the resolved seed.
 //!
-//! Every other field is kept, conservatively: `queueing` is
+//! Every other field is kept, conservatively: `traversal` is
 //! bitwise-invisible and `checkpoint_every` only changes statepoint
 //! cadence, but excluding a field that later grows a result-visible
 //! effect would silently poison the cache, while including one that

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use mcs_core::engine::{Algorithm, DeviceRef, ModelSpec, PolicySpec, RunMode, RunPlan};
-use mcs_core::{QueueingConfig, QueueingMode, TraversalKind};
+use mcs_core::TraversalKind;
 use mcs_serve::hash::{canonical_text, hash_hex, parse_hash_hex, plan_hash};
 use mcs_serve::protocol::{Priority, ProtoError, Request, Response, Source};
 use mcs_serve::result::{ServedResult, TallySummary};
@@ -32,9 +32,6 @@ fn build_plan(
     spectrum: bool,
     checkpoint_every: Option<usize>,
     max_chain: usize,
-    queueing_mode: usize,
-    queueing_bins_pow: u32,
-    fuel_split: bool,
     policy: usize,
 ) -> RunPlan {
     RunPlan {
@@ -52,15 +49,6 @@ fn build_plan(
         spectrum,
         checkpoint_every,
         max_chain: max_chain.max(1),
-        queueing: QueueingConfig {
-            mode: [
-                QueueingMode::Off,
-                QueueingMode::Material,
-                QueueingMode::MaterialEnergy,
-            ][queueing_mode % 3],
-            energy_bins: 1usize << (queueing_bins_pow % 10),
-            fuel_split,
-        },
         policy: [
             PolicySpec::Serial,
             PolicySpec::Threaded { threads: 4 },
@@ -81,13 +69,12 @@ proptest! {
         survival in any::<bool>(),
         ex in 1usize..32, ey in 1usize..32, ez in 1usize..32,
         spectrum in any::<bool>(), max_chain in 1usize..1_000_000,
-        qmode in 0usize..3, qbins in 0u32..10, fuel in any::<bool>(),
         policy in 0usize..3,
     ) {
         let plan = build_plan(
             model, algorithm, particles, inactive, active, Some(seed),
             survival, (ex, ey, ez), None, spectrum, None, max_chain,
-            qmode, qbins, fuel, policy,
+            policy,
         );
         let back = RunPlan::from_toml(&plan.to_toml()).expect("emitted TOML parses");
         prop_assert_eq!(plan_hash(&plan), plan_hash(&back));
@@ -120,7 +107,7 @@ proptest! {
     fn hash_sensitive_to_every_physics_field(salt in any::<u64>()) {
         let base = build_plan(
             0, 0, 2_000, 3, 5, Some(salt), false, (8, 8, 4), None,
-            false, None, 100_000, 0, 7, false, 0,
+            false, None, 100_000, 0,
         );
         let h = plan_hash(&base);
         let variants: Vec<(&str, RunPlan)> = vec![
@@ -147,18 +134,6 @@ proptest! {
             ("spectrum", RunPlan { spectrum: true, ..base.clone() }),
             ("checkpoint_every", RunPlan { checkpoint_every: Some(2), ..base.clone() }),
             ("max_chain", RunPlan { max_chain: base.max_chain + 1, ..base.clone() }),
-            ("queueing.mode", RunPlan {
-                queueing: QueueingConfig { mode: QueueingMode::Material, ..base.queueing },
-                ..base.clone()
-            }),
-            ("queueing.energy_bins", RunPlan {
-                queueing: QueueingConfig { energy_bins: 256, ..base.queueing },
-                ..base.clone()
-            }),
-            ("queueing.fuel_split", RunPlan {
-                queueing: QueueingConfig { fuel_split: true, ..base.queueing },
-                ..base.clone()
-            }),
         ];
         for (field, variant) in variants {
             prop_assert_ne!(plan_hash(&variant), h, "field {} must perturb the hash", field);
@@ -176,13 +151,12 @@ proptest! {
         particles in 1usize..100_000, inactive in 0usize..20,
         active in 0usize..20, seed in any::<u64>(),
         survival in any::<bool>(), spectrum in any::<bool>(),
-        qmode in 0usize..3, qbins in 0u32..10, fuel in any::<bool>(),
         policy in 0usize..3, high in any::<bool>(), progress in any::<bool>(),
     ) {
         let plan = build_plan(
             model, algorithm, particles, inactive, active, Some(seed),
             survival, (4, 4, 4), Some((3, 3, 3)), spectrum, Some(2),
-            1_000, qmode, qbins, fuel, policy,
+            1_000, policy,
         );
         let req = Request::Submit {
             plan: Box::new(plan),

@@ -25,7 +25,7 @@
 //! served), `xs.bin_scan_steps` (hash-grid scan steps),
 //! `xs.gather_span_bytes` / `xs.gather_span_pairs` (the byte distance
 //! between the index rows touched by consecutive lookups of one batch
-//! call — the gather-locality proxy the event queueing ablation reads),
+//! call — a gather-locality proxy),
 //! and `xs.index_bytes` (resident index-structure size) are kept in
 //! relaxed atomics and exported into [`mcs_prof::Counters`] via
 //! [`XsContext::export_counters`].
@@ -107,7 +107,6 @@ impl GridBackend {
 #[derive(Debug)]
 pub struct XsContext {
     lib: NuclideLibrary,
-    aos: AosLibrary,
     soa: SoaLibrary,
     backend: GridBackend,
     lookups: AtomicU64,
@@ -122,7 +121,6 @@ impl Clone for XsContext {
     fn clone(&self) -> Self {
         Self {
             lib: self.lib.clone(),
-            aos: self.aos.clone(),
             soa: self.soa.clone(),
             backend: self.backend.clone(),
             lookups: AtomicU64::new(0),
@@ -140,9 +138,9 @@ impl Clone for XsContext {
 ///
 /// One tracker lives per driver call, so spans never straddle unrelated
 /// call sites; the totals flush into the context's relaxed atomics when
-/// the call completes. The mean span per pair is the cache-miss proxy the
-/// event-queueing ablation reports: energy-ordered banks walk adjacent
-/// rows, unordered banks jump across the whole index.
+/// the call completes. The mean span per pair is a cache-miss proxy:
+/// energy-ordered banks walk adjacent rows, unordered banks jump across
+/// the whole index.
 struct SpanTracker {
     primed: Cell<bool>,
     last: Cell<u64>,
@@ -290,41 +288,6 @@ impl Drop for EnergyIndexer<'_> {
     }
 }
 
-/// Warm-start hash resolver for energy-ordered banks: per nuclide, the
-/// scan restarts from the previous lookup's resolved index whenever the
-/// energy hashes to the same bin (otherwise from the bin's stored bound,
-/// like [`HashIx`]). The bidirectional scan resolves the exact lower
-/// bound from any start, so this only changes `bin_scan_steps`, never
-/// the cross sections.
-struct HashWarmIx<'a> {
-    hash: &'a HashGrid,
-    soa: &'a SoaLibrary,
-    e: f64,
-    bin: usize,
-    steps: &'a Cell<u64>,
-    cursor: &'a [Cell<u32>],
-    cursor_bin: &'a [Cell<u32>],
-}
-
-impl NuclideIndexer for HashWarmIx<'_> {
-    #[inline(always)]
-    fn index(&self, k: usize) -> u32 {
-        let lo = self.soa.offsets[k] as usize;
-        let hi = self.soa.offsets[k + 1] as usize;
-        let seg = &self.soa.energy.as_slice()[lo..hi];
-        let i = if self.cursor_bin[k].get() == self.bin as u32 {
-            self.hash
-                .find_in_segment_from(self.cursor[k].get() as usize, seg, self.e, self.steps)
-        } else {
-            self.hash
-                .find_in_segment(self.bin, k, seg, self.e, self.steps)
-        };
-        self.cursor[k].set(i);
-        self.cursor_bin[k].set(self.bin as u32);
-        i
-    }
-}
-
 /// Dispatch to the backend-specific resolver, binding it as `$ix` in
 /// `$body`. `$steps` is a `Cell<u64>` collecting hash scan steps;
 /// `$span` is the call's [`SpanTracker`] observing which index row the
@@ -387,11 +350,9 @@ impl XsContext {
     }
 
     fn assemble(lib: NuclideLibrary, backend: GridBackend) -> Self {
-        let aos = AosLibrary::build(&lib);
         let soa = SoaLibrary::build(&lib);
         Self {
             lib,
-            aos,
             soa,
             backend,
             lookups: AtomicU64::new(0),
@@ -413,12 +374,6 @@ impl XsContext {
     #[inline]
     pub fn soa(&self) -> &SoaLibrary {
         &self.soa
-    }
-
-    /// The AoS flattening (layout-ablation data).
-    #[inline]
-    pub fn aos(&self) -> &AosLibrary {
-        &self.aos
     }
 
     /// The grid backend.
@@ -517,14 +472,14 @@ impl XsContext {
         macro_xs_lanes_scalar(&self.soa, mat, e, &BinaryIx { soa: &self.soa, e })
     }
 
-    /// Sequential scalar lookup over the AoS layout (layout-ablation
-    /// baseline; agrees with the canonical paths to rounding, not bits).
-    pub fn macro_xs_aos(&self, mat: &Material, e: f64) -> MacroXs {
+    /// Sequential scalar lookup over a caller-built AoS flattening of
+    /// [`Self::lib`] (layout-ablation baseline; agrees with the canonical
+    /// paths to rounding, not bits).
+    pub fn macro_xs_aos(&self, aos: &AosLibrary, mat: &Material, e: f64) -> MacroXs {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let steps = Cell::new(0u64);
         let span = SpanTracker::new();
-        let out =
-            with_resolver!(self, e, steps, span, ix => macro_xs_aos_seq(&self.aos, mat, e, &ix));
+        let out = with_resolver!(self, e, steps, span, ix => macro_xs_aos_seq(aos, mat, e, &ix));
         self.flush_steps(&steps);
         out
     }
@@ -610,63 +565,6 @@ impl XsContext {
             }
             for (e, o) in tile[..m].iter().zip(out_tile.iter_mut()) {
                 *o = self.macro_xs_simd_inner(mat, *e, &steps, &span);
-            }
-        }
-        self.flush_steps(&steps);
-        self.flush_gather(&span);
-    }
-
-    /// [`Self::batch_macro_xs_simd_indexed`] for *energy-ordered* index
-    /// lists (the event queueing's `material+energy` buckets, where
-    /// consecutive energies fall in the same or adjacent log-E bins).
-    ///
-    /// On the hash backend each nuclide keeps a scan cursor: whenever two
-    /// consecutive lookups hash to the same bin, the in-bin scan
-    /// warm-starts from the previous resolved index instead of the bin's
-    /// lower-edge bound, cutting `bin_scan_steps` when the caller really
-    /// did sort by energy. Other backends (and the cross sections under
-    /// every backend) are exactly `batch_macro_xs_simd_indexed` — the
-    /// scan converges to the same lower bound from any starting point,
-    /// so ordering is a pure locality knob.
-    pub fn batch_macro_xs_simd_indexed_binned(
-        &self,
-        mat: &Material,
-        energy: &[f64],
-        indices: &[u32],
-        out: &mut [MacroXs],
-    ) {
-        let h = match &self.backend {
-            GridBackend::HashBinned(h) => h,
-            _ => return self.batch_macro_xs_simd_indexed(mat, energy, indices, out),
-        };
-        assert_eq!(indices.len(), out.len());
-        self.lookups
-            .fetch_add(indices.len() as u64, Ordering::Relaxed);
-        let steps = Cell::new(0u64);
-        let span = SpanTracker::new();
-        let nk = h.n_nuclides();
-        let cursor: Vec<Cell<u32>> = (0..nk).map(|_| Cell::new(0)).collect();
-        let cursor_bin: Vec<Cell<u32>> = (0..nk).map(|_| Cell::new(u32::MAX)).collect();
-        const TILE: usize = 64;
-        let mut tile = [0.0f64; TILE];
-        for (idx_tile, out_tile) in indices.chunks(TILE).zip(out.chunks_mut(TILE)) {
-            let m = idx_tile.len();
-            for (slot, &i) in tile[..m].iter_mut().zip(idx_tile) {
-                *slot = energy[i as usize];
-            }
-            for (e, o) in tile[..m].iter().zip(out_tile.iter_mut()) {
-                let bin = h.bin_of(*e);
-                span.observe(bin as u64, (nk * 4) as u64);
-                let ix = HashWarmIx {
-                    hash: h,
-                    soa: &self.soa,
-                    e: *e,
-                    bin,
-                    steps: &steps,
-                    cursor: &cursor,
-                    cursor_bin: &cursor_bin,
-                };
-                *o = macro_xs_lanes_simd(&self.soa, mat, *e, &ix);
             }
         }
         self.flush_steps(&steps);
@@ -786,9 +684,8 @@ impl XsContext {
         self.gather_span_pairs.load(Ordering::Relaxed)
     }
 
-    /// Mean gather span in bytes per consecutive-lookup pair (the
-    /// cache-miss proxy the queueing ablation reports; 0.0 when no batch
-    /// lookups ran).
+    /// Mean gather span in bytes per consecutive-lookup pair (a
+    /// cache-miss proxy; 0.0 when no batch lookups ran).
     pub fn mean_gather_span_bytes(&self) -> f64 {
         let pairs = self.gather_span_pairs();
         if pairs == 0 {
@@ -924,48 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn binned_indexed_driver_is_bitwise_identical_to_indexed() {
-        for ctx in &contexts() {
-            let fuel = Material::hm_fuel(ctx.lib());
-            // Energy-sorted, reverse-sorted, and shuffled index orders:
-            // the warm-start path must be a pure locality knob.
-            let energy: Vec<f64> = (0..200).map(|i| 2.3e-11 * 1.14f64.powi(i)).collect();
-            let sorted: Vec<u32> = (0..200u32).collect();
-            let reversed: Vec<u32> = (0..200u32).rev().collect();
-            let shuffled: Vec<u32> = (0..200u32).map(|k| (k * 73 + 31) % 200).collect();
-            for indices in [&sorted, &reversed, &shuffled] {
-                let mut plain = vec![MacroXs::default(); indices.len()];
-                let mut binned = vec![MacroXs::default(); indices.len()];
-                ctx.batch_macro_xs_simd_indexed(&fuel, &energy, indices, &mut plain);
-                ctx.batch_macro_xs_simd_indexed_binned(&fuel, &energy, indices, &mut binned);
-                for (k, (a, b)) in plain.iter().zip(&binned).enumerate() {
-                    assert_bits_eq(a, b, &format!("{} k={k}", ctx.backend_kind().name()));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn binned_driver_cuts_scan_steps_on_sorted_banks() {
-        let lib = NuclideLibrary::build(&LibrarySpec::tiny());
-        let ctx = XsContext::new(lib, GridBackendKind::HashBinned);
-        let fuel = Material::hm_fuel(ctx.lib());
-        let energy: Vec<f64> = (0..512).map(|i| 2.3e-11 * 1.055f64.powi(i)).collect();
-        let sorted: Vec<u32> = (0..512u32).collect();
-        let mut out = vec![MacroXs::default(); sorted.len()];
-        ctx.reset_counters();
-        ctx.batch_macro_xs_simd_indexed(&fuel, &energy, &sorted, &mut out);
-        let cold = ctx.bin_scan_steps();
-        ctx.reset_counters();
-        ctx.batch_macro_xs_simd_indexed_binned(&fuel, &energy, &sorted, &mut out);
-        let warm = ctx.bin_scan_steps();
-        assert!(
-            warm < cold,
-            "warm-start took {warm} steps vs {cold} cold on a sorted bank"
-        );
-    }
-
-    #[test]
     fn gather_span_tracks_batch_locality() {
         let lib = NuclideLibrary::build(&LibrarySpec::tiny());
         let ctx = XsContext::new(lib.clone(), GridBackendKind::Unionized);
@@ -1009,10 +864,11 @@ mod tests {
     fn aos_agrees_within_rounding() {
         for ctx in &contexts() {
             let fuel = Material::hm_fuel(ctx.lib());
+            let aos = AosLibrary::build(ctx.lib());
             for &e in &probe_energies() {
                 let r = ctx.macro_xs(&fuel, e);
-                let aos = ctx.macro_xs_aos(&fuel, e);
-                assert!(r.max_rel_diff(&aos) < 1e-12, "e={e}");
+                let via_aos = ctx.macro_xs_aos(&aos, &fuel, e);
+                assert!(r.max_rel_diff(&via_aos) < 1e-12, "e={e}");
             }
         }
     }

@@ -119,30 +119,11 @@ impl HashGrid {
         e: f64,
         steps: &Cell<u64>,
     ) -> u32 {
-        self.find_in_segment_from(self.bounds[b * self.n_nuclides + k] as usize, seg, e, steps)
-    }
-
-    /// [`HashGrid::find_in_segment`] with a caller-chosen scan start —
-    /// the warm-start entry used by energy-ordered banked lookups, where
-    /// the previous lookup's resolved index is a tighter start than the
-    /// bin's lower-edge bound.
-    ///
-    /// The bidirectional scan converges to exactly
-    /// [`crate::grid::lower_bound_index`] from *any* starting point, so
-    /// warm starts change only the step count, never the resolved index.
-    #[inline]
-    pub fn find_in_segment_from(
-        &self,
-        start: usize,
-        seg: &[f64],
-        e: f64,
-        steps: &Cell<u64>,
-    ) -> u32 {
         let len = seg.len();
         if len < 2 {
             return 0;
         }
-        let mut i = start.min(len - 2);
+        let mut i = (self.bounds[b * self.n_nuclides + k] as usize).min(len - 2);
         let mut n = 0u64;
         while i < len - 2 && seg[i + 1] <= e {
             i += 1;
@@ -264,41 +245,6 @@ mod tests {
             let row = h.bounds_row(b);
             assert_eq!(row[0], row[1]);
         }
-    }
-
-    #[test]
-    fn warm_start_resolves_exactly_like_binary_search() {
-        // From any starting index — bin bound, previous resolution, 0,
-        // end of grid — the scan must land on the same lower bound.
-        let nucs = small_set();
-        let h = HashGrid::build(&nucs, 128);
-        let steps = Cell::new(0u64);
-        let mut e = 1.7e-11;
-        while e < 25.0 {
-            for (k, n) in nucs.iter().enumerate() {
-                let want = lower_bound_index(&n.energy, e);
-                for start in [0, want / 2, want, want + 3, n.energy.len() * 2] {
-                    let got = h.find_in_segment_from(start, &n.energy, e, &steps) as usize;
-                    assert_eq!(got, want, "e={e} k={k} start={start}");
-                }
-            }
-            e *= 1.61;
-        }
-    }
-
-    #[test]
-    fn warm_start_near_answer_takes_fewer_steps() {
-        let nucs = small_set();
-        let h = HashGrid::build(&nucs, 64);
-        let e = 1.0e-3;
-        let seg = &nucs[0].energy;
-        let want = lower_bound_index(seg, e);
-        let cold = Cell::new(0u64);
-        h.find_in_segment_from(0, seg, e, &cold);
-        let warm = Cell::new(0u64);
-        h.find_in_segment_from(want, seg, e, &warm);
-        assert_eq!(warm.get(), 0);
-        assert!(cold.get() > 0);
     }
 
     #[test]

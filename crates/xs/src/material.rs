@@ -120,8 +120,7 @@ impl Material {
         .with_nu(lib)
     }
 
-    /// True if any constituent contributes to `νΣ_f` — the fuel/non-fuel
-    /// split used by the event engine's queueing layer.
+    /// True if any constituent contributes to `νΣ_f`.
     #[inline]
     pub fn is_fissionable(&self) -> bool {
         self.densities_nu.iter().any(|&d| d > 0.0)

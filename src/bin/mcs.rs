@@ -9,8 +9,7 @@
 //!            [--half-height CM]
 //!            [--mesh NX,NY,NZ] [--spectrum FILE.csv]
 //!            [--policy serial|threaded:N|distributed:N]
-//!            [--queueing off|material|material+energy] [--queue-bins N]
-//!            [--fuel-split] [--statepoint FILE] [--resume FILE]
+//!            [--statepoint FILE] [--resume FILE]
 //!            [--device NAME] [--device-cores N] [--device-clock GHZ]
 //!            [--device-dram GB_S] [--device-link GB_S]
 //! mcs models
@@ -49,7 +48,7 @@ use mcs::core::engine::{
     ModelSpec, PolicySpec, RunMode, RunOutput, RunPlan, RunReport,
 };
 use mcs::core::statepoint::Statepoint;
-use mcs::core::{catalog, Problem, QueueingConfig, QueueingMode, RodPattern, TraversalKind};
+use mcs::core::{catalog, Problem, RodPattern, TraversalKind};
 use mcs::device::catalog as devices;
 use mcs::serve::scheduler::ServeConfig;
 
@@ -68,7 +67,6 @@ struct Args {
     statepoint: Option<String>,
     resume: Option<String>,
     policy: PolicySpec,
-    queueing: QueueingConfig,
     device: DeviceRef,
     plan: Option<String>,
     dry_run: bool,
@@ -88,8 +86,7 @@ fn usage() -> ! {
          \x20          [--rods none|center|checkerboard] [--half-height CM]\n\
          \x20          [--mesh NX,NY,NZ] [--spectrum FILE.csv]\n\
          \x20          [--policy serial|threaded:N|distributed:N]\n\
-         \x20          [--queueing off|material|material+energy] [--queue-bins N]\n\
-         \x20          [--fuel-split] [--statepoint FILE] [--resume FILE]\n\
+         \x20          [--statepoint FILE] [--resume FILE]\n\
          \x20      mcs models\n\
          \x20      mcs serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--cache-cap N]\n\
          model catalog: {}",
@@ -132,7 +129,6 @@ fn parse_args() -> Args {
         statepoint: None,
         resume: None,
         policy: PolicySpec::Threaded { threads: 0 },
-        queueing: QueueingConfig::default(),
         device: DeviceRef::default(),
         plan: None,
         dry_run: false,
@@ -196,14 +192,6 @@ fn parse_args() -> Args {
             "--statepoint" => args.statepoint = Some(value(&mut i)),
             "--resume" => args.resume = Some(value(&mut i)),
             "--policy" => args.policy = parse_policy(&value(&mut i)),
-            "--queueing" => {
-                args.queueing.mode =
-                    QueueingMode::from_name(&value(&mut i)).unwrap_or_else(|| usage())
-            }
-            "--queue-bins" => {
-                args.queueing.energy_bins = value(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--fuel-split" => args.queueing.fuel_split = true,
             "--device" => args.device.name = value(&mut i),
             "--device-cores" => {
                 args.device.overrides.cores =
@@ -236,10 +224,6 @@ fn parse_args() -> Args {
             _ => usage(),
         }
         i += 1;
-    }
-    if let Err(e) = args.queueing.validate() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
     }
     // The plan parser carries device names as data (mcs-core cannot see
     // the catalog); the CLI is where a bad name or override fails fast.
@@ -278,7 +262,6 @@ fn plan_from_args(args: &Args, mode: RunMode) -> RunPlan {
         mesh_tally: args.mesh,
         spectrum: args.spectrum.is_some(),
         policy: args.policy,
-        queueing: args.queueing,
         device: args.device.clone(),
         ..RunPlan::default()
     }

@@ -5,11 +5,9 @@
 //! TOML round-tripping is lossless, and a plan replayed from its TOML
 //! form reproduces the original run to the last bit.
 //!
-//! A second matrix covers stage-2 particle queueing: every queueing
-//! mode, on every energy-grid backend, under serial and threaded
-//! execution, reproduces the unqueued serial run bit-for-bit — the
-//! "queueing reorders lookups, never results" contract the ablation
-//! bench's speedups rest on.
+//! A second matrix crosses the energy-grid backends with the policies:
+//! the event algorithm's k and tallies are bit-identical on every
+//! backend under every policy — the backend is a pure performance knob.
 
 use mcs::cluster::DistributedPolicy;
 use mcs::core::engine::{
@@ -17,7 +15,6 @@ use mcs::core::engine::{
     ExecutionPolicy, ModelOverrides, ModelSpec, PolicySpec, RunMode, RunPlan, Serial, Threaded,
 };
 use mcs::core::problem::{GridBackendKind, Problem};
-use mcs::core::queueing::{QueueingConfig, QueueingMode};
 use mcs::core::tally::Tallies;
 use mcs::core::{RodPattern, TraversalKind};
 use proptest::prelude::*;
@@ -127,63 +124,33 @@ fn heterogeneous_device_splits_reproduce_serial_bitwise() {
 }
 
 #[test]
-fn queueing_is_bitwise_invisible_across_backends_and_policies() {
-    // For each energy-grid backend: the serial, queueing-off run is the
-    // reference; every queueing mode (with and without the fuel split,
-    // at two bin widths) under serial AND threaded execution must
-    // reproduce it to the last bit. Queueing is a lookup-order knob.
-    let configs: Vec<(String, QueueingConfig)> = QueueingMode::ALL
-        .iter()
-        .flat_map(|&mode| {
-            [(false, 4096usize), (true, 4096), (true, 64)]
-                .into_iter()
-                .map(move |(fuel_split, energy_bins)| {
-                    (
-                        format!("{}/bins={energy_bins}/fuel={fuel_split}", mode.name()),
-                        QueueingConfig {
-                            mode,
-                            energy_bins,
-                            fuel_split,
-                        },
-                    )
-                })
-        })
-        .collect();
+fn event_results_are_bitwise_identical_across_backends_and_policies() {
+    // The serial run on the first backend is the reference; every
+    // backend under every policy must reproduce its k and tallies to
+    // the last bit (the only place this cross-backend half of the old
+    // `EQ.k_bitwise` invariant is still asserted for the event path).
+    let plan = plan_for(Algorithm::EventBanking);
+    let reference = run_with_problem(
+        &Problem::test_small_with_backend(GridBackendKind::ALL[0]),
+        &plan,
+        &mut Serial::new(),
+    )
+    .into_eigenvalue()
+    .result;
 
     for backend in GridBackendKind::ALL {
         let problem = Problem::test_small_with_backend(backend);
-        let reference_plan = RunPlan {
-            queueing: QueueingConfig {
-                mode: QueueingMode::Off,
-                ..QueueingConfig::default()
-            },
-            ..plan_for(Algorithm::EventBanking)
-        };
-        let reference = run_with_problem(&problem, &reference_plan, &mut Serial::new())
-            .into_eigenvalue()
-            .result;
-
-        for (name, queueing) in &configs {
-            let plan = RunPlan {
-                queueing: *queueing,
-                ..plan_for(Algorithm::EventBanking)
-            };
-            let policies: [(&str, Box<dyn ExecutionPolicy>); 2] = [
-                ("serial", Box::new(Serial::new())),
-                ("threaded-4", Box::new(Threaded::new(4))),
-            ];
-            for (plabel, mut policy) in policies {
-                let got = run_with_problem(&problem, &plan, policy.as_mut())
-                    .into_eigenvalue()
-                    .result;
-                assert_bitwise(
-                    &format!("{} / {name} / {plabel}", backend.name()),
-                    got.k_mean,
-                    &got.tallies,
-                    reference.k_mean,
-                    &reference.tallies,
-                );
-            }
+        for (plabel, mut policy) in all_policies() {
+            let got = run_with_problem(&problem, &plan, policy.as_mut())
+                .into_eigenvalue()
+                .result;
+            assert_bitwise(
+                &format!("{} / {plabel}", backend.name()),
+                got.k_mean,
+                &got.tallies,
+                reference.k_mean,
+                &reference.tallies,
+            );
         }
     }
 }
@@ -348,10 +315,7 @@ fn arb_plan() -> impl Strategy<Value = RunPlan> {
             1usize..1_000_000,
         ),
         (0u8..3, 0usize..32, 1usize..16),
-        (
-            (0u8..3, 0u32..15, any::<bool>()),
-            (any::<bool>(), 0u8..5, 0u8..3),
-        ),
+        (any::<bool>(), 0u8..5, 0u8..3),
         (
             0usize..6,
             (any::<bool>(), 1usize..512),
@@ -366,7 +330,7 @@ fn arb_plan() -> impl Strategy<Value = RunPlan> {
                 (inactive, active, survival, entropy_mesh),
                 ((has_mesh, mesh), spectrum, (has_cp, cp_every), max_chain),
                 (policy_kind, threads, ranks),
-                ((queue_mode, queue_bins_log2, fuel_split), (nested, override_kind, rod_kind)),
+                (nested, override_kind, rod_kind),
                 (
                     device,
                     (has_cores, cores),
@@ -433,16 +397,6 @@ fn arb_plan() -> impl Strategy<Value = RunPlan> {
                         0 => PolicySpec::Serial,
                         1 => PolicySpec::Threaded { threads },
                         _ => PolicySpec::Distributed { ranks },
-                    },
-                    queueing: QueueingConfig {
-                        mode: match queue_mode {
-                            0 => QueueingMode::Off,
-                            1 => QueueingMode::Material,
-                            _ => QueueingMode::MaterialEnergy,
-                        },
-                        // Power of two, as `validate` demands of TOML input.
-                        energy_bins: 1usize << queue_bins_log2,
-                        fuel_split,
                     },
                     // Device refs round-trip sparsely: the default name with
                     // no overrides must serialize to nothing at all, and the
