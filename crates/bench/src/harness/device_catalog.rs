@@ -215,7 +215,7 @@ pub fn score(r: &DeviceCatalogResult) -> Vec<CheckOutcome> {
 /// Run the device-catalog sweep at `scale`.
 pub fn run(scale: f64, verbose: bool) -> DeviceCatalogResult {
     let devices = catalog::all();
-    let host = catalog::device(mcs_core::engine::DEFAULT_DEVICE).expect("default host");
+    let host = catalog::device("host-e5-2687w").expect("default host");
 
     // Leg 1: reference workload, every entry under its default transport.
     let host_ref_rate = host.modeled_native_rate(host.default_transport());

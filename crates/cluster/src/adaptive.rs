@@ -73,15 +73,6 @@ impl AdaptiveBalancer {
         let rates: Vec<f64> = measured.iter().map(|m| m.unwrap_or(fallback)).collect();
         self.assignments = proportional_split(self.n_total, &rates);
     }
-
-    /// [`AdaptiveBalancer::observe`] against an externally supplied
-    /// assignment (for drivers that manage the assignment themselves,
-    /// like the executed MPI runtime).
-    pub fn observe_with_assignments(&mut self, assignments: &[u64], batch_times: &[f64]) {
-        assert_eq!(assignments.len(), self.assignments.len());
-        self.assignments = assignments.to_vec();
-        self.observe(batch_times);
-    }
 }
 
 /// One step of a simulated batch on the affine rank law.

@@ -25,10 +25,7 @@
 pub mod plan;
 pub mod policy;
 
-pub use plan::{
-    Algorithm, DeviceOverrides, DeviceRef, ModelOverrides, ModelSpec, PlanError, PolicySpec,
-    RunMode, RunPlan, DEFAULT_DEVICE,
-};
+pub use plan::{Algorithm, ModelOverrides, ModelSpec, PlanError, PolicySpec, RunMode, RunPlan};
 pub use policy::{BatchContext, BatchOutput, ExecutionPolicy, Halt, Serial, Threaded};
 
 use std::time::{Duration, Instant};

@@ -108,92 +108,6 @@ impl ModelSpec {
     }
 }
 
-/// Which device model to price the run on: a device-catalog entry name
-/// plus optional numeric overrides (the device-layer mirror of
-/// [`ModelSpec`]).
-///
-/// `mcs_core` treats this as plain data — the catalog itself lives in
-/// `mcs-device` (`mcs_device::catalog::resolve`), which validates the
-/// name and applies the overrides. The default ref (the paper's host
-/// Xeon, no overrides) serializes to nothing, so plans that never touch
-/// the device knob keep their historic TOML text and plan hash.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceRef {
-    /// Device-catalog entry name (`host-e5-2687w`, `knc-7120a`,
-    /// `a100`, ...).
-    pub name: String,
-    /// Numeric overrides applied on top of the entry's datasheet values.
-    pub overrides: DeviceOverrides,
-}
-
-/// The default device-catalog entry name (the paper's JLSE host Xeon).
-pub const DEFAULT_DEVICE: &str = "host-e5-2687w";
-
-impl Default for DeviceRef {
-    fn default() -> Self {
-        Self::named(DEFAULT_DEVICE)
-    }
-}
-
-impl DeviceRef {
-    /// A ref for catalog entry `name` with no overrides.
-    pub fn named(name: &str) -> Self {
-        Self {
-            name: name.to_string(),
-            overrides: DeviceOverrides::default(),
-        }
-    }
-
-    /// True when this is the default device with no overrides — the
-    /// configuration every pre-catalog plan implicitly ran with.
-    pub fn is_default(&self) -> bool {
-        self.name == DEFAULT_DEVICE && self.overrides.is_default()
-    }
-
-    /// Canonical one-line rendering of name + overrides. Injective over
-    /// distinct refs, so it is safe key material for result caches.
-    pub fn spec_string(&self) -> String {
-        let mut s = self.name.clone();
-        let o = &self.overrides;
-        if let Some(c) = o.cores {
-            s.push_str(&format!(";cores={c}"));
-        }
-        if let Some(g) = o.clock_ghz {
-            s.push_str(&format!(";clock_ghz={g}"));
-        }
-        if let Some(bw) = o.dram_gb_s {
-            s.push_str(&format!(";dram_gb_s={bw}"));
-        }
-        if let Some(bw) = o.link_gb_s {
-            s.push_str(&format!(";link_gb_s={bw}"));
-        }
-        s
-    }
-}
-
-/// Optional per-plan overrides of a device-catalog entry's structural
-/// parameters. `None` everywhere (the default) leaves the entry exactly
-/// as catalogued — and serializes to nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DeviceOverrides {
-    /// Core (or SM/CU) count.
-    pub cores: Option<usize>,
-    /// Core clock, GHz.
-    pub clock_ghz: Option<f64>,
-    /// Main-memory bandwidth, GB/s.
-    pub dram_gb_s: Option<f64>,
-    /// Host-link contiguous bandwidth, GB/s (the banked regime scales
-    /// with it).
-    pub link_gb_s: Option<f64>,
-}
-
-impl DeviceOverrides {
-    /// True when no override is set.
-    pub fn is_default(&self) -> bool {
-        *self == Self::default()
-    }
-}
-
 /// A typed plan-parse error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
@@ -337,10 +251,6 @@ pub struct RunPlan {
     pub max_chain: usize,
     /// Execution policy to run under.
     pub policy: PolicySpec,
-    /// Device model to price the run on (analytic layer only — the
-    /// physics always runs on this host). The default ref serializes to
-    /// nothing, preserving historic plan text and hashes.
-    pub device: DeviceRef,
 }
 
 impl Default for RunPlan {
@@ -361,7 +271,6 @@ impl Default for RunPlan {
             checkpoint_every: None,
             max_chain: 100_000,
             policy: PolicySpec::Serial,
-            device: DeviceRef::default(),
         }
     }
 }
@@ -414,12 +323,6 @@ impl RunPlan {
         s.push_str(&format!("algorithm:        {}\n", self.algorithm.keyword()));
         s.push_str(&format!("mode:             {}\n", self.mode.keyword()));
         s.push_str(&format!("policy:           {}\n", self.policy.describe()));
-        if !self.device.is_default() {
-            s.push_str(&format!(
-                "device:           {}\n",
-                self.device.spec_string()
-            ));
-        }
         s.push_str(&format!(
             "seed:             {} ({})\n",
             self.resolved_seed(),
@@ -498,9 +401,6 @@ impl RunPlan {
         if self.traversal != TraversalKind::default() {
             s.push_str(&format!("traversal = \"{}\"\n", self.traversal.name()));
         }
-        if self.device.name != DEFAULT_DEVICE {
-            s.push_str(&format!("device = \"{}\"\n", self.device.name));
-        }
         if !self.model.overrides.is_default() {
             let o = &self.model.overrides;
             s.push_str("\n[model]\n");
@@ -515,22 +415,6 @@ impl RunPlan {
             }
             if let Some(h) = o.half_height {
                 s.push_str(&format!("half_height = {h}\n"));
-            }
-        }
-        if !self.device.overrides.is_default() {
-            let o = &self.device.overrides;
-            s.push_str("\n[device]\n");
-            if let Some(c) = o.cores {
-                s.push_str(&format!("cores = {c}\n"));
-            }
-            if let Some(g) = o.clock_ghz {
-                s.push_str(&format!("clock_ghz = {g}\n"));
-            }
-            if let Some(bw) = o.dram_gb_s {
-                s.push_str(&format!("dram_gb_s = {bw}\n"));
-            }
-            if let Some(bw) = o.link_gb_s {
-                s.push_str(&format!("link_gb_s = {bw}\n"));
             }
         }
         s.push_str("\n[policy]\n");
@@ -573,10 +457,10 @@ impl RunPlan {
             };
             if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 section = name.trim().to_string();
-                if !matches!(section.as_str(), "plan" | "model" | "device" | "policy") {
+                if !matches!(section.as_str(), "plan" | "model" | "policy") {
                     return Err(err(&format!(
                         "unknown section [{section}] \
-                         (expected [plan], [model], [device], or [policy])"
+                         (expected [plan], [model], or [policy])"
                     )));
                 }
                 continue;
@@ -622,24 +506,6 @@ impl RunPlan {
                 }
                 ("model", "half_height") => {
                     plan.model.overrides.half_height = Some(value.as_f64().map_err(|e| err(&e))?)
-                }
-                ("plan", "device") => {
-                    // The name is validated against the device catalog by
-                    // the CLI / serve layer (mcs_core cannot see
-                    // mcs-device); here it is carried as data.
-                    plan.device.name = value.as_str().map_err(|e| err(&e))?.to_string();
-                }
-                ("device", "cores") => {
-                    plan.device.overrides.cores = Some(value.as_usize().map_err(|e| err(&e))?)
-                }
-                ("device", "clock_ghz") => {
-                    plan.device.overrides.clock_ghz = Some(value.as_f64().map_err(|e| err(&e))?)
-                }
-                ("device", "dram_gb_s") => {
-                    plan.device.overrides.dram_gb_s = Some(value.as_f64().map_err(|e| err(&e))?)
-                }
-                ("device", "link_gb_s") => {
-                    plan.device.overrides.link_gb_s = Some(value.as_f64().map_err(|e| err(&e))?)
                 }
                 ("plan", "algorithm") => {
                     plan.algorithm = match value.as_str().map_err(|e| err(&e))? {
@@ -847,6 +713,14 @@ impl Value {
 mod tests {
     use super::*;
 
+    /// The typed parse error `text` must fail with: its line and message.
+    fn parse_error(text: &str) -> (Option<usize>, String) {
+        match RunPlan::from_toml(text).unwrap_err() {
+            PlanError::Parse { line, msg } => (line, msg),
+            other => panic!("{text:?}: expected a parse error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn default_plan_round_trips() {
         let plan = RunPlan::default();
@@ -873,7 +747,6 @@ mod tests {
             checkpoint_every: Some(3),
             max_chain: 42,
             policy: PolicySpec::Distributed { ranks: 4 },
-            device: DeviceRef::named("knc-7120a"),
         };
         let back = RunPlan::from_toml(&plan.to_toml()).expect("parse");
         assert_eq!(plan, back);
@@ -892,15 +765,10 @@ mod tests {
             "queueing_fuel_split = true",
         ] {
             // Line 3: after a comment line and the section header.
-            let err = RunPlan::from_toml(&format!("# c\n[plan]\n{bad}\n")).unwrap_err();
-            match err {
-                PlanError::Parse { line, ref msg } => {
-                    assert_eq!(line, Some(3), "{bad}");
-                    assert!(msg.contains("removed in PR 13"), "{bad}: {msg}");
-                    assert!(msg.contains("bit-identical"), "{bad}: {msg}");
-                }
-                other => panic!("{bad}: expected a parse error, got {other:?}"),
-            }
+            let (line, msg) = parse_error(&format!("# c\n[plan]\n{bad}\n"));
+            assert_eq!(line, Some(3), "{bad}");
+            assert!(msg.contains("removed in PR 13"), "{bad}: {msg}");
+            assert!(msg.contains("bit-identical"), "{bad}: {msg}");
         }
     }
 
@@ -942,88 +810,10 @@ mod tests {
     fn default_knobs_keep_the_historic_toml_shape() {
         // Plans without overrides or a non-default traversal serialize
         // exactly as before this refactor: no [model] section, no
-        // traversal key, no device key or section — so historic plan
-        // hashes are preserved.
+        // traversal key — so historic plan hashes are preserved.
         let text = RunPlan::default().to_toml();
         assert!(!text.contains("[model]"));
         assert!(!text.contains("traversal"));
-        assert!(!text.contains("device"));
-    }
-
-    #[test]
-    fn device_ref_round_trips_sparsely() {
-        // Name only.
-        let plan = RunPlan {
-            device: DeviceRef::named("a100"),
-            ..RunPlan::default()
-        };
-        let text = plan.to_toml();
-        assert!(text.contains("device = \"a100\""));
-        assert!(!text.contains("[device]"));
-        assert_eq!(RunPlan::from_toml(&text).expect("parse"), plan);
-
-        // Name + overrides: the [device] section must precede [policy]
-        // so the serve layer's canonical-text cut keeps it in the hash.
-        let plan = RunPlan {
-            device: DeviceRef {
-                name: "mi250x".into(),
-                overrides: DeviceOverrides {
-                    cores: Some(110),
-                    clock_ghz: Some(1.25),
-                    dram_gb_s: Some(1600.0),
-                    link_gb_s: Some(18.0),
-                },
-            },
-            ..RunPlan::default()
-        };
-        let text = plan.to_toml();
-        assert!(text.find("[device]").unwrap() < text.find("[policy]").unwrap());
-        assert_eq!(RunPlan::from_toml(&text).expect("parse"), plan);
-
-        // Overrides on the default device: section without the name key.
-        let plan = RunPlan {
-            device: DeviceRef {
-                name: DEFAULT_DEVICE.into(),
-                overrides: DeviceOverrides {
-                    clock_ghz: Some(2.9),
-                    ..Default::default()
-                },
-            },
-            ..RunPlan::default()
-        };
-        let text = plan.to_toml();
-        assert!(!text.contains("device = "));
-        assert!(text.contains("[device]"));
-        assert_eq!(RunPlan::from_toml(&text).expect("parse"), plan);
-    }
-
-    #[test]
-    fn device_spec_string_is_injective_over_overrides() {
-        let a = DeviceRef::named("a100");
-        let mut b = a.clone();
-        b.overrides.clock_ghz = Some(1.5);
-        let mut c = a.clone();
-        c.overrides.dram_gb_s = Some(1.5);
-        let strings = [a.spec_string(), b.spec_string(), c.spec_string()];
-        assert_eq!(
-            strings
-                .iter()
-                .collect::<std::collections::BTreeSet<_>>()
-                .len(),
-            3
-        );
-        assert!(DeviceRef::default().is_default());
-        assert!(!b.is_default());
-    }
-
-    #[test]
-    fn device_appears_in_describe_only_off_default() {
-        assert!(!RunPlan::default().describe().contains("device:"));
-        let plan = RunPlan {
-            device: DeviceRef::named("knc-7120a"),
-            ..RunPlan::default()
-        };
-        assert!(plan.describe().contains("device:           knc-7120a"));
     }
 
     #[test]
@@ -1092,13 +882,24 @@ mod tests {
 
     #[test]
     fn unknown_key_rejected() {
-        let text = "[plan]\nmodell = \"test\"\n";
-        assert!(RunPlan::from_toml(text).is_err());
+        let (line, msg) = parse_error("[plan]\nmodell = \"test\"\n");
+        assert_eq!(line, Some(2));
+        assert!(msg.contains("unknown key `modell`"), "{msg}");
+        // The plan-level device selector was removed in PR 14 without a
+        // shim: its keys are unknown keys like any other.
+        let (line, msg) = parse_error("[plan]\nmodel = \"test\"\ndevice = \"a100\"\n");
+        assert_eq!(line, Some(3));
+        assert!(msg.contains("unknown key `device` in [plan]"), "{msg}");
     }
 
     #[test]
     fn unknown_section_rejected() {
-        assert!(RunPlan::from_toml("[nope]\n").is_err());
+        let (line, msg) = parse_error("[nope]\n");
+        assert_eq!(line, Some(1));
+        assert!(msg.contains("unknown section [nope]"), "{msg}");
+        let (line, msg) = parse_error("[plan]\nmodel = \"test\"\n\n[device]\ncores = 54\n");
+        assert_eq!(line, Some(4));
+        assert!(msg.contains("unknown section [device]"), "{msg}");
     }
 
     #[test]

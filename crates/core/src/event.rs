@@ -292,10 +292,6 @@ fn event_pipeline(
     out.tallies.n_particles = n as u64;
     let mut stats = EventStats::default();
     let prof = ThreadProfiler::new();
-    // Lookup accounting comes from the instrumented context layer: the
-    // stage-2 batch drivers bump `problem.xs`'s counter, and the delta
-    // over this run is the pipeline's lookup count.
-    let lookups0 = problem.xs.lookups();
 
     let mut xs_buf: Vec<MacroXs> = vec![MacroXs::default(); n];
     let mut d_coll = vec![0.0f64; n];
@@ -375,6 +371,10 @@ fn event_pipeline(
         // `Problem::macro_xs_vector`, batched.
         {
             let _g = prof.enter(EventStats::STAGE_NAMES[1]);
+            // Counted here, not read off `problem.xs`'s shared atomic:
+            // concurrent runs on one `Problem` must not absorb each
+            // other's lookups.
+            stats.lookups += bank.n_alive() as u64;
             for &iu in &bank.alive {
                 out.tallies.record_segment(bank.material[iu as usize]);
             }
@@ -654,8 +654,6 @@ fn event_pipeline(
     // Events discover sites in generation order; restore history order.
     sort_sites(&mut out.sites);
 
-    stats.lookups = problem.xs.lookups().saturating_sub(lookups0);
-
     // Stages are barrier-synchronized, so each region's inclusive time is
     // its stage's wall time; the sum is the staged region's wall time.
     let profile = prof.finish();
@@ -804,6 +802,31 @@ mod tests {
         let (out_serial, _) = serial_pool.install(|| run_event(&problem, &sources, &streams));
         assert_eq!(out_serial.tallies, out1.tallies);
         assert_eq!(out_serial.sites, out1.sites);
+    }
+
+    #[test]
+    fn concurrent_runs_on_one_problem_count_their_own_lookups() {
+        // Serve's workers share one pooled `Arc<Problem>`: a run's lookup
+        // count must be its own flight segments, not whatever the shared
+        // `xs.lookups` atomic saw while it ran.
+        let problem = Problem::test_small();
+        let n = 256;
+        let start = std::sync::Barrier::new(2);
+        let run = |batch: u64| {
+            let sources = problem.sample_initial_source(n, batch);
+            let streams = batch_streams(problem.seed, batch, n);
+            start.wait();
+            run_event(&problem, &sources, &streams)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| run(0));
+            let b = s.spawn(|| run(1));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for (out, stats) in [a, b] {
+            assert!(stats.lookups > 0);
+            assert_eq!(stats.lookups, out.tallies.segments);
+        }
     }
 
     #[test]

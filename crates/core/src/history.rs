@@ -10,7 +10,7 @@
 //! batch function consumed by `mcs_core::engine`; the old entry points
 //! are gone — go through the engine.
 
-use mcs_geom::{Vec3, BOUNDARY_EPS};
+use mcs_geom::BOUNDARY_EPS;
 use mcs_prof::ThreadProfiler;
 use mcs_rng::Lcg63;
 use rayon::prelude::*;
@@ -50,20 +50,6 @@ pub fn transport_particle(
     prof: Option<&ThreadProfiler>,
 ) {
     transport_particle_full(problem, p, tallies, sites, prof, None, None, None)
-}
-
-/// [`transport_particle`] with an optional user-defined mesh tally scored
-/// along every flight segment (the paper's "tallies throughout phase
-/// space" that make active batches cost more than inactive ones).
-pub fn transport_particle_mesh(
-    problem: &Problem,
-    p: &mut Particle,
-    tallies: &mut Tallies,
-    sites: &mut Vec<Site>,
-    prof: Option<&ThreadProfiler>,
-    mesh: Option<&mut MeshTally>,
-) {
-    transport_particle_full(problem, p, tallies, sites, prof, mesh, None, None)
 }
 
 /// The fully-instrumented history loop: optional mesh tally and optional
@@ -358,14 +344,6 @@ pub fn batch_streams(seed: u64, batch_index: u64, n: usize) -> Vec<Lcg63> {
             )
         })
         .collect()
-}
-
-/// Where the transport flight loop starts for external drivers: exposes
-/// the same per-segment stepping used internally, for tests that need to
-/// cross-check intermediate state.
-pub fn segment_pos_after(problem: &Problem, start: Vec3, dir: Vec3, d: f64) -> Option<Vec3> {
-    let p = start + dir * d;
-    problem.find(p).map(|_| p)
 }
 
 #[cfg(test)]

@@ -43,7 +43,6 @@ pub mod problem;
 pub mod spectrum;
 pub mod statepoint;
 pub mod tally;
-pub mod vr;
 
 pub use eigenvalue::EigenvalueResult;
 pub use engine::{
@@ -58,7 +57,6 @@ pub use problem::{HmModel, Problem};
 pub use spectrum::SpectrumTally;
 pub use statepoint::Statepoint;
 pub use tally::Tallies;
-pub use vr::{run_with_splitting, ImportanceMap};
 
 /// Energy floor (MeV): particles thermalizing below this are terminated
 /// (counted as captures).

@@ -166,22 +166,6 @@ impl ParticleBank {
         Vec3::new(self.u[i], self.v[i], self.w[i])
     }
 
-    /// Set position of particle `i`.
-    #[inline]
-    pub fn set_pos(&mut self, i: usize, p: Vec3) {
-        self.x[i] = p.x;
-        self.y[i] = p.y;
-        self.z[i] = p.z;
-    }
-
-    /// Set direction of particle `i`.
-    #[inline]
-    pub fn set_dir(&mut self, i: usize, d: Vec3) {
-        self.u[i] = d.x;
-        self.v[i] = d.y;
-        self.w[i] = d.z;
-    }
-
     /// Remove the given (sorted, deduplicated) live-list positions from
     /// the alive list, preserving the order of the survivors. `dead_slots`
     /// are positions *within* `alive`, not particle indices.
@@ -223,14 +207,6 @@ impl ParticleBank {
             }
         }
         self.alive.truncate(write);
-    }
-
-    /// Approximate in-memory size of the per-particle state in bytes
-    /// (used by the PCIe transfer model for Table II): position (3×8),
-    /// direction (3×8), energy (8), RNG state (8), material (4),
-    /// bookkeeping (8).
-    pub fn bytes_per_particle() -> usize {
-        3 * 8 + 3 * 8 + 8 + 8 + 4 + 8
     }
 }
 

@@ -29,8 +29,6 @@
 //! workload lands within each entry's documented band of the rate its
 //! source paper reports.
 
-use mcs_core::engine::{DeviceOverrides, DeviceRef};
-
 use crate::native::{NativeModel, TransportKind};
 use crate::offload::OffloadModel;
 use crate::pcie::PcieBus;
@@ -348,50 +346,6 @@ pub fn all() -> Vec<DeviceSpec> {
         .collect()
 }
 
-/// Resolve a plan-level [`DeviceRef`] (name + sparse numeric overrides)
-/// to a concrete catalog entry. Overrides are validated here with the
-/// same typed-message discipline the model catalog uses.
-pub fn resolve(r: &DeviceRef) -> Result<DeviceSpec, String> {
-    let mut dev = device(&r.name)?;
-    let o: &DeviceOverrides = &r.overrides;
-    if let Some(c) = o.cores {
-        let c = u32::try_from(c).unwrap_or(0);
-        if c == 0 {
-            return Err("device override `cores` must be a positive core count".into());
-        }
-        dev.machine.cores = c;
-    }
-    if let Some(g) = o.clock_ghz {
-        if !(g.is_finite() && g > 0.0) {
-            return Err(format!(
-                "device override `clock_ghz = {g}` must be a positive finite frequency"
-            ));
-        }
-        dev.machine.clock_ghz = g;
-    }
-    if let Some(bw) = o.dram_gb_s {
-        if !(bw.is_finite() && bw > 0.0) {
-            return Err(format!(
-                "device override `dram_gb_s = {bw}` must be a positive finite bandwidth"
-            ));
-        }
-        dev.machine.dram_gb_s = bw;
-    }
-    if let Some(bw) = o.link_gb_s {
-        if !(bw.is_finite() && bw > 0.0) {
-            return Err(format!(
-                "device override `link_gb_s = {bw}` must be a positive finite bandwidth"
-            ));
-        }
-        // Scale both link regimes by the same factor so the banked
-        // marshaling penalty is preserved.
-        let factor = bw / dev.link.contiguous_gb_s;
-        dev.link.contiguous_gb_s = bw;
-        dev.link.banked_gb_s *= factor;
-    }
-    Ok(dev)
-}
-
 impl DeviceSpec {
     /// The transport kind this device class runs natively: GPUs only
     /// make sense with banked event kernels; CPUs and KNC-style
@@ -667,74 +621,6 @@ mod tests {
             let rate = gpu.modeled_native_rate(gpu.default_transport());
             assert!(rate > knc_rate, "{name}: {rate:.0} ≤ knc {knc_rate:.0}");
         }
-    }
-
-    // --- overrides -----------------------------------------------------
-
-    #[test]
-    fn resolve_applies_sparse_overrides() {
-        let r = DeviceRef {
-            name: "a100".into(),
-            overrides: DeviceOverrides {
-                cores: Some(54),
-                clock_ghz: Some(1.1),
-                dram_gb_s: Some(800.0),
-                link_gb_s: Some(13.0),
-            },
-        };
-        let dev = resolve(&r).unwrap();
-        let base = device("a100").unwrap();
-        assert_eq!(dev.machine.cores, 54);
-        assert_eq!(dev.machine.clock_ghz, 1.1);
-        assert_eq!(dev.machine.dram_gb_s, 800.0);
-        assert_eq!(dev.link.contiguous_gb_s, 13.0);
-        // banked bandwidth scales with the same factor
-        assert!((dev.link.banked_gb_s - base.link.banked_gb_s * 0.5).abs() < 1e-12);
-        // untouched fields stay catalogued
-        assert_eq!(dev.machine.f32_lanes, base.machine.f32_lanes);
-    }
-
-    #[test]
-    fn resolve_rejects_bad_overrides() {
-        let bad = |o: DeviceOverrides| {
-            resolve(&DeviceRef {
-                name: "a100".into(),
-                overrides: o,
-            })
-            .unwrap_err()
-        };
-        assert!(bad(DeviceOverrides {
-            cores: Some(0),
-            ..Default::default()
-        })
-        .contains("cores"));
-        assert!(bad(DeviceOverrides {
-            clock_ghz: Some(-1.0),
-            ..Default::default()
-        })
-        .contains("clock_ghz"));
-        assert!(bad(DeviceOverrides {
-            dram_gb_s: Some(f64::NAN),
-            ..Default::default()
-        })
-        .contains("dram_gb_s"));
-        assert!(bad(DeviceOverrides {
-            link_gb_s: Some(0.0),
-            ..Default::default()
-        })
-        .contains("link_gb_s"));
-        assert!(resolve(&DeviceRef {
-            name: "warp-core".into(),
-            overrides: DeviceOverrides::default(),
-        })
-        .unwrap_err()
-        .contains("warp-core"));
-    }
-
-    #[test]
-    fn default_device_ref_resolves_to_the_default_host() {
-        let dev = resolve(&DeviceRef::default()).unwrap();
-        assert_eq!(dev.id, "host-e5-2687w");
     }
 
     #[test]

@@ -132,12 +132,6 @@ pub fn history_segment(shape: &ProblemShape, m: usize, collision_fraction: f64) 
     xs_lookup_scalar(shape, m).add(&segment_other_costs(shape, m, collision_fraction))
 }
 
-/// Full per-segment cost for event-style transport on a wide device
-/// (banked lookups; geometry and collisions stay scalar).
-pub fn event_segment(shape: &ProblemShape, m: usize, collision_fraction: f64) -> KernelCounts {
-    xs_lookup_banked(shape, m).add(&segment_other_costs(shape, m, collision_fraction))
-}
-
 /// Bytes of particle state shipped per banked particle, as a function of
 /// the nuclide count.
 ///

@@ -78,24 +78,16 @@ pub fn parse_hash_hex(s: &str) -> Option<u64> {
 }
 
 /// Key under which the scheduler shares one built [`mcs_core::Problem`]
-/// across jobs: the fields `RunPlan::build_problem` actually consumes
-/// (full model spec with overrides, traversal treatment, survival
-/// treatment, resolved seed). Two plans with equal problem keys run
-/// against the same `Arc<Problem>` — and therefore the same PR-6
-/// Arc-cached `XsContext`, whose instrumentation counters then
-/// aggregate lookups across all of them.
+/// across jobs: exactly the fields `RunPlan::build_problem` consumes —
+/// `model` (name + overrides), `traversal`, `survival`, and the resolved
+/// `seed` — and nothing else. Two plans with equal problem keys run
+/// against the same `Arc<Problem>`, whose `XsContext` instrumentation
+/// counters then aggregate lookups across all of them.
 pub fn problem_key(plan: &RunPlan) -> u64 {
     let mut h = fnv1a(FNV_OFFSET, b"mcs-problem-key/2");
     h = fnv1a(h, plan.model.spec_string().as_bytes());
     h = fnv1a(h, plan.traversal.name().as_bytes());
     h = fnv1a(h, &[plan.survival as u8]);
-    // The device selection joins the digest only when off-default (the
-    // sparse-emission discipline): every pre-catalog plan hashes exactly
-    // as it always did, so historic cache entries stay valid.
-    if !plan.device.is_default() {
-        h = fnv1a(h, b";device=");
-        h = fnv1a(h, plan.device.spec_string().as_bytes());
-    }
     fnv1a(h, &plan.resolved_seed().to_le_bytes())
 }
 
@@ -140,43 +132,6 @@ mod tests {
         }
         assert_eq!(parse_hash_hex("xyz"), None);
         assert_eq!(parse_hash_hex("00"), None);
-    }
-
-    #[test]
-    fn device_selection_is_hashed_only_off_default() {
-        use mcs_core::engine::{DeviceOverrides, DeviceRef, DEFAULT_DEVICE};
-        // Explicitly naming the default device is the same run as not
-        // naming one: identical plan hash, problem key, and plan text.
-        let implicit = RunPlan::default();
-        let explicit = RunPlan {
-            device: DeviceRef::named(DEFAULT_DEVICE),
-            ..RunPlan::default()
-        };
-        assert_eq!(implicit.to_toml(), explicit.to_toml());
-        assert_eq!(plan_hash(&implicit), plan_hash(&explicit));
-        assert_eq!(problem_key(&implicit), problem_key(&explicit));
-
-        // An off-default device changes both hashes...
-        let gpu = RunPlan {
-            device: DeviceRef::named("a100"),
-            ..RunPlan::default()
-        };
-        assert_ne!(plan_hash(&implicit), plan_hash(&gpu));
-        assert_ne!(problem_key(&implicit), problem_key(&gpu));
-        // ...and overrides on the default device do too.
-        let tweaked = RunPlan {
-            device: DeviceRef {
-                name: DEFAULT_DEVICE.into(),
-                overrides: DeviceOverrides {
-                    clock_ghz: Some(2.9),
-                    ..Default::default()
-                },
-            },
-            ..RunPlan::default()
-        };
-        assert_ne!(problem_key(&implicit), problem_key(&tweaked));
-        assert_ne!(plan_hash(&implicit), plan_hash(&tweaked));
-        assert_ne!(problem_key(&gpu), problem_key(&tweaked));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use mcs_core::engine::{Algorithm, DeviceRef, ModelSpec, PolicySpec, RunMode, RunPlan};
+use mcs_core::engine::{Algorithm, ModelSpec, PolicySpec, RunMode, RunPlan};
 use mcs_core::TraversalKind;
 use mcs_serve::hash::{canonical_text, hash_hex, parse_hash_hex, plan_hash};
 use mcs_serve::protocol::{Priority, ProtoError, Request, Response, Source};
@@ -54,7 +54,6 @@ fn build_plan(
             PolicySpec::Threaded { threads: 4 },
             PolicySpec::Distributed { ranks: 3 },
         ][policy % 3],
-        device: DeviceRef::default(),
     }
 }
 

@@ -36,9 +36,3 @@ pub mod vector;
 
 pub use buffer::{AVec32, AVec64};
 pub use vector::{F32x16, F64x8, Mask16, Mask8};
-
-/// Number of `f32` lanes in the widest vector type (matches the MIC's
-/// 512-bit registers: 16 × 4-byte floats).
-pub const F32_LANES: usize = 16;
-/// Number of `f64` lanes in the widest vector type.
-pub const F64_LANES: usize = 8;

@@ -60,12 +60,6 @@ macro_rules! impl_vector {
                 s[..$lanes].copy_from_slice(&self.0);
             }
 
-            /// Underlying lanes.
-            #[inline(always)]
-            pub fn to_array(self) -> [$elem; $lanes] {
-                self.0
-            }
-
             /// Lane-wise fused multiply-add: `self * a + b`.
             ///
             /// Uses `mul_add`, which lowers to an FMA instruction when the

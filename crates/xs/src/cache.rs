@@ -4,22 +4,20 @@
 //! setup time for the H.M. models, and both mcs-check and the bench
 //! harnesses build the *same* library + backend combination many times per
 //! process — once per invariant step, once per ablation cell. This module
-//! memoizes the fully assembled context behind an
-//! `Arc<XsContext>` keyed by `(model hash, backend kind)` so identical
-//! indices are built exactly once.
+//! memoizes the fully assembled context keyed by `(model hash, backend
+//! kind)` so identical indices are built exactly once.
 //!
-//! Callers receive a *clone* of the cached context, not the `Arc` itself:
-//! [`XsContext`]'s `Clone` resets the instrumentation atomics, so every
-//! problem keeps independent counters while sharing nothing mutable with
-//! other users. The clone copies the heavyweight data (library, layouts,
-//! grid index) — that copy is a `memcpy`-style traversal, orders of
-//! magnitude cheaper than re-synthesizing nuclides and rebuilding indices.
+//! Callers receive a *clone* of the cached context: [`XsContext`]'s
+//! `Clone` shares the heavyweight data (library, layouts, grid index)
+//! behind one inner `Arc` and resets the instrumentation atomics, so the
+//! clone is O(1), a process holds one copy of each index, and every
+//! problem still keeps independent counters.
 //!
 //! The cache is bounded: a small FIFO of recently built models. Eviction
-//! only drops the cache's own `Arc`; outstanding clones are unaffected.
+//! only drops the cache's own handle; outstanding clones are unaffected.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use crate::context::{GridBackendKind, XsContext};
 use crate::library::{LibrarySpec, NuclideLibrary};
@@ -29,7 +27,7 @@ use crate::library::{LibrarySpec, NuclideLibrary};
 const CAPACITY: usize = 6;
 
 struct ContextCache {
-    map: HashMap<(u64, GridBackendKind), Arc<XsContext>>,
+    map: HashMap<(u64, GridBackendKind), XsContext>,
     /// Insertion order for FIFO eviction.
     order: Vec<(u64, GridBackendKind)>,
 }
@@ -77,10 +75,10 @@ pub fn context_for(
     build: impl FnOnce() -> NuclideLibrary,
 ) -> XsContext {
     if let Some(hit) = cache().lock().unwrap().map.get(&(key, kind)) {
-        return hit.as_ref().clone();
+        return hit.clone();
     }
-    let built = Arc::new(XsContext::new(build(), kind));
-    let out = built.as_ref().clone();
+    let built = XsContext::new(build(), kind);
+    let out = built.clone();
     let mut c = cache().lock().unwrap();
     if !c.map.contains_key(&(key, kind)) {
         if c.order.len() >= CAPACITY {
@@ -135,6 +133,10 @@ mod tests {
         // A second fetch is a cache hit with fresh counters and
         // bit-identical data.
         let b = context_for_spec(&spec, GridBackendKind::HashBinned);
+        assert!(
+            b.shares_data_with(&a),
+            "a cache hit must not copy the index"
+        );
         assert_eq!(b.lookups(), 0);
         let xa = a.macro_xs(&fuel, 2.0e-6);
         let xb = b.macro_xs(&fuel, 2.0e-6);

@@ -32,6 +32,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::grid::{lower_bound_index, UnionGrid};
 use crate::hash::HashGrid;
@@ -106,27 +107,39 @@ impl GridBackend {
 /// behind one API surface, with built-in instrumentation.
 #[derive(Debug)]
 pub struct XsContext {
-    lib: NuclideLibrary,
-    soa: SoaLibrary,
-    backend: GridBackend,
+    data: Arc<XsData>,
+    counters: XsCounters,
+}
+
+/// The instrumentation atomics, on a cache line of their own: every
+/// lookup of every thread writes them, and sharing a line with `data`
+/// (or with a neighbouring `Problem` field) would make each of those
+/// writes evict something every other thread's next lookup reads.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct XsCounters {
     lookups: AtomicU64,
     bin_scan_steps: AtomicU64,
     gather_span_bytes: AtomicU64,
     gather_span_pairs: AtomicU64,
 }
 
+/// The immutable heavyweight half of a context (hundreds of MB for the
+/// large model's unionized index), shared by every clone.
+#[derive(Debug)]
+struct XsData {
+    lib: NuclideLibrary,
+    soa: SoaLibrary,
+    backend: GridBackend,
+}
+
 impl Clone for XsContext {
-    /// Clones the data structures; the instrumentation counters of the
+    /// Shares the data structures; the instrumentation counters of the
     /// clone start from zero.
     fn clone(&self) -> Self {
         Self {
-            lib: self.lib.clone(),
-            soa: self.soa.clone(),
-            backend: self.backend.clone(),
-            lookups: AtomicU64::new(0),
-            bin_scan_steps: AtomicU64::new(0),
-            gather_span_bytes: AtomicU64::new(0),
-            gather_span_pairs: AtomicU64::new(0),
+            data: Arc::clone(&self.data),
+            counters: XsCounters::default(),
         }
     }
 }
@@ -294,7 +307,7 @@ impl Drop for EnergyIndexer<'_> {
 /// lookup touches (no observation for the index-free binary backend).
 macro_rules! with_resolver {
     ($self:ident, $e:expr, $steps:ident, $span:ident, $ix:ident => $body:expr) => {
-        match &$self.backend {
+        match &$self.data.backend {
             GridBackend::Unionized(g) => {
                 let u = g.find($e);
                 $span.observe(u as u64, (g.n_nuclides() * 4) as u64);
@@ -305,7 +318,7 @@ macro_rules! with_resolver {
             }
             GridBackend::PerNuclideBinary => {
                 let $ix = BinaryIx {
-                    soa: &$self.soa,
+                    soa: &$self.data.soa,
                     e: $e,
                 };
                 $body
@@ -315,7 +328,7 @@ macro_rules! with_resolver {
                 $span.observe(bin as u64, (h.n_nuclides() * 4) as u64);
                 let $ix = HashIx {
                     hash: h,
-                    soa: &$self.soa,
+                    soa: &$self.data.soa,
                     e: $e,
                     bin,
                     steps: &$steps,
@@ -352,46 +365,47 @@ impl XsContext {
     fn assemble(lib: NuclideLibrary, backend: GridBackend) -> Self {
         let soa = SoaLibrary::build(&lib);
         Self {
-            lib,
-            soa,
-            backend,
-            lookups: AtomicU64::new(0),
-            bin_scan_steps: AtomicU64::new(0),
-            gather_span_bytes: AtomicU64::new(0),
-            gather_span_pairs: AtomicU64::new(0),
+            data: Arc::new(XsData { lib, soa, backend }),
+            counters: XsCounters::default(),
         }
     }
 
     // -- accessors ----------------------------------------------------
 
+    /// Whether `self` and `other` read the same library/index allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_data_with(&self, other: &XsContext) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
+    }
+
     /// The nuclide library.
     #[inline]
     pub fn lib(&self) -> &NuclideLibrary {
-        &self.lib
+        &self.data.lib
     }
 
     /// The SoA flattening (the vector kernels' data).
     #[inline]
     pub fn soa(&self) -> &SoaLibrary {
-        &self.soa
+        &self.data.soa
     }
 
     /// The grid backend.
     #[inline]
     pub fn backend(&self) -> &GridBackend {
-        &self.backend
+        &self.data.backend
     }
 
     /// Which backend kind is active.
     #[inline]
     pub fn backend_kind(&self) -> GridBackendKind {
-        self.backend.kind()
+        self.data.backend.kind()
     }
 
     /// The unionized grid, if that backend is active (device/offload
     /// models size transfers from it).
     pub fn union_grid(&self) -> Option<&UnionGrid> {
-        match &self.backend {
+        match &self.data.backend {
             GridBackend::Unionized(g) => Some(g),
             _ => None,
         }
@@ -400,24 +414,26 @@ impl XsContext {
     /// Number of nuclides.
     #[inline]
     pub fn n_nuclides(&self) -> usize {
-        self.lib.len()
+        self.data.lib.len()
     }
 
     /// Size of the search structure one lookup traverses: union points,
     /// hash bins, or the mean per-nuclide grid length — the machine
     /// models' "grid points" input.
     pub fn search_points(&self) -> usize {
-        match &self.backend {
+        match &self.data.backend {
             GridBackend::Unionized(g) => g.n_points(),
             GridBackend::HashBinned(h) => h.n_bins(),
-            GridBackend::PerNuclideBinary => self.lib.total_points() / self.lib.len().max(1),
+            GridBackend::PerNuclideBinary => {
+                self.data.lib.total_points() / self.data.lib.len().max(1)
+            }
         }
     }
 
     /// Bytes of backend index structures (union energies + index map,
     /// hash bounds table, or zero for per-nuclide binary search).
     pub fn index_bytes(&self) -> usize {
-        match &self.backend {
+        match &self.data.backend {
             GridBackend::Unionized(g) => g.data_bytes(),
             GridBackend::HashBinned(h) => h.index_bytes(),
             GridBackend::PerNuclideBinary => 0,
@@ -427,17 +443,17 @@ impl XsContext {
     /// Bytes of pointwise cross-section data (the SoA arrays the kernels
     /// gather from).
     pub fn data_bytes(&self) -> usize {
-        self.soa.data_bytes()
+        self.data.soa.data_bytes()
     }
 
     // -- single-energy lookups ----------------------------------------
 
     /// Scalar macroscopic lookup (bit-identical to [`Self::macro_xs_simd`]).
     pub fn macro_xs(&self, mat: &Material, e: f64) -> MacroXs {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
         let steps = Cell::new(0u64);
         let span = SpanTracker::new();
-        let out = with_resolver!(self, e, steps, span, ix => macro_xs_lanes_scalar(&self.soa, mat, e, &ix));
+        let out = with_resolver!(self, e, steps, span, ix => macro_xs_lanes_scalar(&self.data.soa, mat, e, &ix));
         self.flush_steps(&steps);
         out
     }
@@ -445,7 +461,7 @@ impl XsContext {
     /// Vectorized macroscopic lookup: inner loop over nuclides 8-wide
     /// with gathers (the paper's fastest configuration).
     pub fn macro_xs_simd(&self, mat: &Material, e: f64) -> MacroXs {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
         let steps = Cell::new(0u64);
         let span = SpanTracker::new();
         let out = self.macro_xs_simd_inner(mat, e, &steps, &span);
@@ -461,22 +477,30 @@ impl XsContext {
         steps: &Cell<u64>,
         span: &SpanTracker,
     ) -> MacroXs {
-        with_resolver!(self, e, steps, span, ix => macro_xs_lanes_simd(&self.soa, mat, e, &ix))
+        with_resolver!(self, e, steps, span, ix => macro_xs_lanes_simd(&self.data.soa, mat, e, &ix))
     }
 
     /// Reference lookup: per-nuclide binary search regardless of the
     /// active backend (the pre-Leppänen baseline). Bit-identical to
     /// [`Self::macro_xs`] under every backend.
     pub fn macro_xs_direct(&self, mat: &Material, e: f64) -> MacroXs {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        macro_xs_lanes_scalar(&self.soa, mat, e, &BinaryIx { soa: &self.soa, e })
+        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
+        macro_xs_lanes_scalar(
+            &self.data.soa,
+            mat,
+            e,
+            &BinaryIx {
+                soa: &self.data.soa,
+                e,
+            },
+        )
     }
 
     /// Sequential scalar lookup over a caller-built AoS flattening of
     /// [`Self::lib`] (layout-ablation baseline; agrees with the canonical
     /// paths to rounding, not bits).
     pub fn macro_xs_aos(&self, aos: &AosLibrary, mat: &Material, e: f64) -> MacroXs {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
         let steps = Cell::new(0u64);
         let span = SpanTracker::new();
         let out = with_resolver!(self, e, steps, span, ix => macro_xs_aos_seq(aos, mat, e, &ix));
@@ -489,12 +513,13 @@ impl XsContext {
     /// Whole-bank scalar driver (the history-style reference for Fig. 2).
     pub fn batch_macro_xs(&self, mat: &Material, energies: &[f64], out: &mut [MacroXs]) {
         assert_eq!(energies.len(), out.len());
-        self.lookups
+        self.counters
+            .lookups
             .fetch_add(energies.len() as u64, Ordering::Relaxed);
         let steps = Cell::new(0u64);
         let span = SpanTracker::new();
         for (e, o) in energies.iter().zip(out.iter_mut()) {
-            *o = with_resolver!(self, *e, steps, span, ix => macro_xs_lanes_scalar(&self.soa, mat, *e, &ix));
+            *o = with_resolver!(self, *e, steps, span, ix => macro_xs_lanes_scalar(&self.data.soa, mat, *e, &ix));
         }
         self.flush_steps(&steps);
         self.flush_gather(&span);
@@ -508,12 +533,13 @@ impl XsContext {
     /// bit-identity scalar).
     pub fn batch_macro_xs_seq(&self, mat: &Material, energies: &[f64], out: &mut [MacroXs]) {
         assert_eq!(energies.len(), out.len());
-        self.lookups
+        self.counters
+            .lookups
             .fetch_add(energies.len() as u64, Ordering::Relaxed);
         let steps = Cell::new(0u64);
         let span = SpanTracker::new();
         for (e, o) in energies.iter().zip(out.iter_mut()) {
-            *o = with_resolver!(self, *e, steps, span, ix => macro_xs_seq(&self.lib, mat, *e, &ix));
+            *o = with_resolver!(self, *e, steps, span, ix => macro_xs_seq(&self.data.lib, mat, *e, &ix));
         }
         self.flush_steps(&steps);
         self.flush_gather(&span);
@@ -523,7 +549,8 @@ impl XsContext {
     /// banked-lookup configuration the paper measures in Fig. 2.
     pub fn batch_macro_xs_simd(&self, mat: &Material, energies: &[f64], out: &mut [MacroXs]) {
         assert_eq!(energies.len(), out.len());
-        self.lookups
+        self.counters
+            .lookups
             .fetch_add(energies.len() as u64, Ordering::Relaxed);
         let steps = Cell::new(0u64);
         let span = SpanTracker::new();
@@ -552,7 +579,8 @@ impl XsContext {
         out: &mut [MacroXs],
     ) {
         assert_eq!(indices.len(), out.len());
-        self.lookups
+        self.counters
+            .lookups
             .fetch_add(indices.len() as u64, Ordering::Relaxed);
         let steps = Cell::new(0u64);
         let span = SpanTracker::new();
@@ -575,13 +603,14 @@ impl XsContext {
     /// the variant the paper found slower, kept for the ablation.
     pub fn batch_macro_xs_outer_simd(&self, mat: &Material, energies: &[f64], out: &mut [MacroXs]) {
         assert_eq!(energies.len(), out.len());
-        self.lookups
+        self.counters
+            .lookups
             .fetch_add(energies.len() as u64, Ordering::Relaxed);
         let steps = Cell::new(0u64);
         let span = SpanTracker::new();
-        match &self.backend {
+        match &self.data.backend {
             GridBackend::Unionized(g) => {
-                batch_outer_simd_with(&self.soa, mat, energies, out, |e| {
+                batch_outer_simd_with(&self.data.soa, mat, energies, out, |e| {
                     let u = g.find(e);
                     span.observe(u as u64, (g.n_nuclides() * 4) as u64);
                     UnionIx {
@@ -590,18 +619,18 @@ impl XsContext {
                 })
             }
             GridBackend::PerNuclideBinary => {
-                batch_outer_simd_with(&self.soa, mat, energies, out, |e| BinaryIx {
-                    soa: &self.soa,
+                batch_outer_simd_with(&self.data.soa, mat, energies, out, |e| BinaryIx {
+                    soa: &self.data.soa,
                     e,
                 })
             }
             GridBackend::HashBinned(h) => {
-                batch_outer_simd_with(&self.soa, mat, energies, out, |e| {
+                batch_outer_simd_with(&self.data.soa, mat, energies, out, |e| {
                     let bin = h.bin_of(e);
                     span.observe(bin as u64, (h.n_nuclides() * 4) as u64);
                     HashIx {
                         hash: h,
-                        soa: &self.soa,
+                        soa: &self.data.soa,
                         e,
                         bin,
                         steps: &steps,
@@ -619,16 +648,19 @@ impl XsContext {
     /// resolves indices for several nuclides of one material at one
     /// energy).
     pub fn indexer(&self, e: f64) -> EnergyIndexer<'_> {
-        let inner = match &self.backend {
+        let inner = match &self.data.backend {
             GridBackend::Unionized(g) => IxInner::Union(g.index_row(g.find(e))),
-            GridBackend::PerNuclideBinary => IxInner::Binary { soa: &self.soa, e },
+            GridBackend::PerNuclideBinary => IxInner::Binary {
+                soa: &self.data.soa,
+                e,
+            },
             GridBackend::HashBinned(h) => IxInner::Hash {
                 hash: h,
-                soa: &self.soa,
+                soa: &self.data.soa,
                 e,
                 bin: h.bin_of(e),
                 steps: Cell::new(0),
-                sink: &self.bin_scan_steps,
+                sink: &self.counters.bin_scan_steps,
             },
         };
         EnergyIndexer { inner }
@@ -647,7 +679,7 @@ impl XsContext {
     fn flush_steps(&self, steps: &Cell<u64>) {
         let n = steps.get();
         if n > 0 {
-            self.bin_scan_steps.fetch_add(n, Ordering::Relaxed);
+            self.counters.bin_scan_steps.fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -655,33 +687,36 @@ impl XsContext {
     fn flush_gather(&self, span: &SpanTracker) {
         let pairs = span.pairs.get();
         if pairs > 0 {
-            self.gather_span_bytes
+            self.counters
+                .gather_span_bytes
                 .fetch_add(span.bytes.get(), Ordering::Relaxed);
-            self.gather_span_pairs.fetch_add(pairs, Ordering::Relaxed);
+            self.counters
+                .gather_span_pairs
+                .fetch_add(pairs, Ordering::Relaxed);
         }
     }
 
     /// Macroscopic lookups served since construction (or counter reset).
     pub fn lookups(&self) -> u64 {
-        self.lookups.load(Ordering::Relaxed)
+        self.counters.lookups.load(Ordering::Relaxed)
     }
 
     /// Hash-grid in-bin scan steps taken (0 for other backends).
     pub fn bin_scan_steps(&self) -> u64 {
-        self.bin_scan_steps.load(Ordering::Relaxed)
+        self.counters.bin_scan_steps.load(Ordering::Relaxed)
     }
 
     /// Total byte distance between the index rows touched by consecutive
     /// lookups of the batch drivers (0 for the index-free binary
     /// backend). Divide by [`Self::gather_span_pairs`] for the mean span.
     pub fn gather_span_bytes(&self) -> u64 {
-        self.gather_span_bytes.load(Ordering::Relaxed)
+        self.counters.gather_span_bytes.load(Ordering::Relaxed)
     }
 
     /// Number of consecutive-lookup pairs behind
     /// [`Self::gather_span_bytes`].
     pub fn gather_span_pairs(&self) -> u64 {
-        self.gather_span_pairs.load(Ordering::Relaxed)
+        self.counters.gather_span_pairs.load(Ordering::Relaxed)
     }
 
     /// Mean gather span in bytes per consecutive-lookup pair (a
@@ -697,10 +732,10 @@ impl XsContext {
 
     /// Reset the instrumentation counters to zero.
     pub fn reset_counters(&self) {
-        self.lookups.store(0, Ordering::Relaxed);
-        self.bin_scan_steps.store(0, Ordering::Relaxed);
-        self.gather_span_bytes.store(0, Ordering::Relaxed);
-        self.gather_span_pairs.store(0, Ordering::Relaxed);
+        self.counters.lookups.store(0, Ordering::Relaxed);
+        self.counters.bin_scan_steps.store(0, Ordering::Relaxed);
+        self.counters.gather_span_bytes.store(0, Ordering::Relaxed);
+        self.counters.gather_span_pairs.store(0, Ordering::Relaxed);
     }
 
     /// Export `xs.lookups`, `xs.bin_scan_steps`, `xs.gather_span_bytes`,
@@ -962,12 +997,16 @@ mod tests {
     }
 
     #[test]
-    fn clone_resets_counters_but_keeps_data() {
+    fn clone_resets_counters_and_shares_data() {
         let lib = NuclideLibrary::build(&LibrarySpec::tiny());
         let ctx = XsContext::new(lib, GridBackendKind::Unionized);
         let fuel = Material::hm_fuel(ctx.lib());
         let a = ctx.macro_xs(&fuel, 2.0e-7);
         let cloned = ctx.clone();
+        assert!(
+            cloned.shares_data_with(&ctx),
+            "a clone must not copy the index"
+        );
         assert_eq!(cloned.lookups(), 0);
         let b = cloned.macro_xs(&fuel, 2.0e-7);
         assert_bits_eq(&a, &b, "clone");

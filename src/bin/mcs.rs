@@ -10,8 +10,6 @@
 //!            [--mesh NX,NY,NZ] [--spectrum FILE.csv]
 //!            [--policy serial|threaded:N|distributed:N]
 //!            [--statepoint FILE] [--resume FILE]
-//!            [--device NAME] [--device-cores N] [--device-clock GHZ]
-//!            [--device-dram GB_S] [--device-link GB_S]
 //! mcs models
 //! mcs devices
 //! mcs info   [--model NAME]
@@ -20,13 +18,12 @@
 //! mcs serve  [--addr HOST:PORT] [--workers N] [--queue-cap N] [--cache-cap N]
 //! ```
 //!
-//! `NAME` is a model-catalog entry (`mcs models` lists them); `--device`
-//! names a device-catalog entry (`mcs devices` lists them) whose analytic
-//! machine model prices the run — physics always executes on the host,
-//! bit-identically, whatever device is selected. Every run
-//! is a [`RunPlan`] executed by `mcs_core::engine::run` under an
-//! execution policy; the flag form builds the plan on the fly, the
-//! `--plan` form loads a TOML plan file and replays it bit-identically.
+//! `NAME` is a model-catalog entry (`mcs models` lists them); `mcs
+//! devices` lists the device catalog the analytic machine models price
+//! kernels on. Every run is a [`RunPlan`] executed by
+//! `mcs_core::engine::run` under an execution policy; the flag form
+//! builds the plan on the fly, the `--plan` form loads a TOML plan file
+//! and replays it bit-identically.
 //!
 //! Examples:
 //!
@@ -44,8 +41,8 @@ use std::process::ExitCode;
 
 use mcs::cluster::DistributedPolicy;
 use mcs::core::engine::{
-    self, Algorithm, BatchObserver, BatchProgress, DeviceRef, ExecutionPolicy, ModelOverrides,
-    ModelSpec, PolicySpec, RunMode, RunOutput, RunPlan, RunReport,
+    self, Algorithm, BatchObserver, BatchProgress, ExecutionPolicy, PolicySpec, RunMode, RunOutput,
+    RunPlan, RunReport,
 };
 use mcs::core::statepoint::Statepoint;
 use mcs::core::{catalog, Problem, RodPattern, TraversalKind};
@@ -54,20 +51,12 @@ use mcs::serve::scheduler::ServeConfig;
 
 struct Args {
     command: String,
-    model: String,
-    overrides: ModelOverrides,
-    traversal: TraversalKind,
-    particles: usize,
-    inactive: usize,
-    active: usize,
-    algorithm: Algorithm,
-    survival: bool,
-    mesh: Option<(usize, usize, usize)>,
+    /// The plan the flag form describes: `RunPlan::default()` under the
+    /// ambient-pool threaded policy, with each flag written into it.
+    flags: RunPlan,
     spectrum: Option<String>,
     statepoint: Option<String>,
     resume: Option<String>,
-    policy: PolicySpec,
-    device: DeviceRef,
     plan: Option<String>,
     dry_run: bool,
     width: usize,
@@ -116,20 +105,13 @@ fn parse_policy(raw: &str) -> PolicySpec {
 fn parse_args() -> Args {
     let mut args = Args {
         command: String::new(),
-        model: "test".into(),
-        overrides: ModelOverrides::default(),
-        traversal: TraversalKind::default(),
-        particles: 2_000,
-        inactive: 3,
-        active: 5,
-        algorithm: Algorithm::History,
-        survival: false,
-        mesh: None,
+        flags: RunPlan {
+            policy: PolicySpec::Threaded { threads: 0 },
+            ..RunPlan::default()
+        },
         spectrum: None,
         statepoint: None,
         resume: None,
-        policy: PolicySpec::Threaded { threads: 0 },
-        device: DeviceRef::default(),
         plan: None,
         dry_run: false,
         width: 80,
@@ -149,34 +131,40 @@ fn parse_args() -> Args {
     };
     while i < argv.len() {
         match argv[i].as_str() {
-            "--model" => args.model = value(&mut i),
+            "--model" => args.flags.model.name = value(&mut i),
             "--traversal" => {
-                args.traversal = TraversalKind::from_name(&value(&mut i)).unwrap_or_else(|| usage())
+                args.flags.traversal =
+                    TraversalKind::from_name(&value(&mut i)).unwrap_or_else(|| usage())
             }
             "--assemblies" => {
-                args.overrides.assemblies = Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
+                args.flags.model.overrides.assemblies =
+                    Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
             }
             "--enrichment" => {
-                args.overrides.enrichment = Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
+                args.flags.model.overrides.enrichment =
+                    Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
             }
             "--rods" => {
-                args.overrides.rods =
+                args.flags.model.overrides.rods =
                     Some(RodPattern::from_name(&value(&mut i)).unwrap_or_else(|| usage()))
             }
             "--half-height" => {
-                args.overrides.half_height = Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
+                args.flags.model.overrides.half_height =
+                    Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
             }
-            "--particles" => args.particles = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--inactive" => args.inactive = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--active" => args.active = value(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--particles" => {
+                args.flags.particles = value(&mut i).parse().unwrap_or_else(|_| usage())
+            }
+            "--inactive" => args.flags.inactive = value(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--active" => args.flags.active = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--mode" => {
-                args.algorithm = match value(&mut i).as_str() {
+                args.flags.algorithm = match value(&mut i).as_str() {
                     "history" => Algorithm::History,
                     "event" => Algorithm::EventBanking,
                     _ => usage(),
                 }
             }
-            "--survival" => args.survival = true,
+            "--survival" => args.flags.survival = true,
             "--mesh" => {
                 let v = value(&mut i);
                 let parts: Vec<usize> = v
@@ -186,29 +174,15 @@ fn parse_args() -> Args {
                 if parts.len() != 3 {
                     usage();
                 }
-                args.mesh = Some((parts[0], parts[1], parts[2]));
+                args.flags.mesh_tally = Some((parts[0], parts[1], parts[2]));
             }
-            "--spectrum" => args.spectrum = Some(value(&mut i)),
+            "--spectrum" => {
+                args.flags.spectrum = true;
+                args.spectrum = Some(value(&mut i));
+            }
             "--statepoint" => args.statepoint = Some(value(&mut i)),
             "--resume" => args.resume = Some(value(&mut i)),
-            "--policy" => args.policy = parse_policy(&value(&mut i)),
-            "--device" => args.device.name = value(&mut i),
-            "--device-cores" => {
-                args.device.overrides.cores =
-                    Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--device-clock" => {
-                args.device.overrides.clock_ghz =
-                    Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--device-dram" => {
-                args.device.overrides.dram_gb_s =
-                    Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--device-link" => {
-                args.device.overrides.link_gb_s =
-                    Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
+            "--policy" => args.flags.policy = parse_policy(&value(&mut i)),
             "--plan" => args.plan = Some(value(&mut i)),
             "--addr" => args.addr = value(&mut i),
             "--workers" => args.serve.workers = value(&mut i).parse().unwrap_or_else(|_| usage()),
@@ -225,45 +199,19 @@ fn parse_args() -> Args {
         }
         i += 1;
     }
-    // The plan parser carries device names as data (mcs-core cannot see
-    // the catalog); the CLI is where a bad name or override fails fast.
-    if let Err(e) = devices::resolve(&args.device) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
     args
 }
 
-/// Resolve `--model` + override flags to a [`ModelSpec`], validating the
-/// name and the override values against the catalog up front.
-fn model_spec(args: &Args) -> ModelSpec {
-    let spec = ModelSpec {
-        name: args.model.clone(),
-        overrides: args.overrides,
-    };
-    if let Err(e) = catalog::config_for(&spec) {
+/// The plan the flag form of `mcs run`/`mcs fixed` describes, with the
+/// model name and override values validated against the catalog up front.
+fn plan_from_args(args: &Args, mode: RunMode) -> RunPlan {
+    if let Err(e) = catalog::config_for(&args.flags.model) {
         eprintln!("error: {e}");
         std::process::exit(2);
     }
-    spec
-}
-
-/// The plan the flag form of `mcs run`/`mcs fixed` describes.
-fn plan_from_args(args: &Args, mode: RunMode) -> RunPlan {
     RunPlan {
-        model: model_spec(args),
-        traversal: args.traversal,
-        algorithm: args.algorithm,
         mode,
-        particles: args.particles,
-        inactive: args.inactive,
-        active: args.active,
-        survival: args.survival,
-        mesh_tally: args.mesh,
-        spectrum: args.spectrum.is_some(),
-        policy: args.policy,
-        device: args.device.clone(),
-        ..RunPlan::default()
+        ..args.flags.clone()
     }
 }
 
@@ -318,10 +266,6 @@ fn cmd_devices() {
     for dev in devices::all() {
         println!("  {:<14} {}", dev.id, dev.description);
     }
-    println!(
-        "\noverride flags: --device-cores N, --device-clock GHZ, --device-dram GB_S,\n\
-         \x20               --device-link GB_S (scales both PCIe/fabric bandwidths)"
-    );
 }
 
 fn cmd_info(args: &Args) {
@@ -579,7 +523,7 @@ fn cmd_fixed(args: &Args) {
     let plan = plan_from_args(args, RunMode::FixedSource);
     println!(
         "fixed-source run: {} source particles, full fission chains...",
-        args.particles
+        plan.particles
     );
     execute_plan(&plan, args);
 }

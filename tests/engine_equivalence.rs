@@ -11,8 +11,8 @@
 
 use mcs::cluster::DistributedPolicy;
 use mcs::core::engine::{
-    resume_with_problem, run_batches, run_with_problem, Algorithm, DeviceOverrides, DeviceRef,
-    ExecutionPolicy, ModelOverrides, ModelSpec, PolicySpec, RunMode, RunPlan, Serial, Threaded,
+    resume_with_problem, run_batches, run_with_problem, Algorithm, ExecutionPolicy, ModelOverrides,
+    ModelSpec, PolicySpec, RunMode, RunPlan, Serial, Threaded,
 };
 use mcs::core::problem::{GridBackendKind, Problem};
 use mcs::core::tally::Tallies;
@@ -316,13 +316,6 @@ fn arb_plan() -> impl Strategy<Value = RunPlan> {
         ),
         (0u8..3, 0usize..32, 1usize..16),
         (any::<bool>(), 0u8..5, 0u8..3),
-        (
-            0usize..6,
-            (any::<bool>(), 1usize..512),
-            (any::<bool>(), 0.5f64..5.0),
-            (any::<bool>(), 1.0f64..4000.0),
-            (any::<bool>(), 0.5f64..100.0),
-        ),
     )
         .prop_map(
             |(
@@ -331,13 +324,6 @@ fn arb_plan() -> impl Strategy<Value = RunPlan> {
                 ((has_mesh, mesh), spectrum, (has_cp, cp_every), max_chain),
                 (policy_kind, threads, ranks),
                 (nested, override_kind, rod_kind),
-                (
-                    device,
-                    (has_cores, cores),
-                    (has_clock, clock),
-                    (has_dram, dram),
-                    (has_link, link),
-                ),
             )| {
                 RunPlan {
                     model: ModelSpec {
@@ -397,27 +383,6 @@ fn arb_plan() -> impl Strategy<Value = RunPlan> {
                         0 => PolicySpec::Serial,
                         1 => PolicySpec::Threaded { threads },
                         _ => PolicySpec::Distributed { ranks },
-                    },
-                    // Device refs round-trip sparsely: the default name with
-                    // no overrides must serialize to nothing at all, and the
-                    // float overrides lean on Display's shortest-round-trip
-                    // formatting for losslessness.
-                    device: DeviceRef {
-                        name: [
-                            "host-e5-2687w",
-                            "host-e5-2680",
-                            "knc-7120a",
-                            "knl-projection",
-                            "gpu-max-1100",
-                            "a100",
-                        ][device]
-                            .into(),
-                        overrides: DeviceOverrides {
-                            cores: has_cores.then_some(cores),
-                            clock_ghz: has_clock.then_some(clock),
-                            dram_gb_s: has_dram.then_some(dram),
-                            link_gb_s: has_link.then_some(link),
-                        },
                     },
                 }
             },

@@ -1,13 +1,13 @@
-//! Pins what "plan text is byte-identical" means. The literals were
-//! captured at the parent of PR 13 (which removed the stage-2 queueing
-//! options but keeps emitting their three TOML lines as constants): if
-//! plan text, the canonical hash or the problem key ever drifts, every
-//! serve cache key and every committed `benchmark/workloads/*.toml`
-//! silently stops matching — these fail first.
+//! Pins what "plan text is byte-identical" means. The default-plan
+//! literals were captured at the parent of PR 13 (which removed the
+//! stage-2 queueing options but keeps emitting their three TOML lines as
+//! constants); the fully-populated ones at the parent of PR 14 (which
+//! removed the plan-level device selector), for the same plan on the
+//! default device. If plan text, the canonical hash or the problem key
+//! ever drifts, every serve cache key and every committed
+//! `benchmark/workloads/*.toml` silently stops matching — these fail first.
 
-use mcs::core::engine::{
-    Algorithm, DeviceOverrides, DeviceRef, ModelOverrides, ModelSpec, PolicySpec, RunPlan,
-};
+use mcs::core::engine::{Algorithm, ModelOverrides, ModelSpec, PolicySpec, RunPlan};
 use mcs::core::{RodPattern, TraversalKind};
 use mcs::serve::hash::{hash_hex, plan_hash, problem_key};
 
@@ -16,8 +16,8 @@ mode = \"eigenvalue\"\nparticles = 2000\ninactive = 3\nactive = 5\nsurvival = fa
 entropy_mesh = [8, 8, 4]\nspectrum = false\nmax_chain = 100000\nqueueing = \"material\"\n\
 queueing_bins = 4096\nqueueing_fuel_split = false\n\n[policy]\nkind = \"serial\"\n";
 
-/// Every optional field set: model overrides, device + overrides, nested
-/// traversal, seed, mesh tally, checkpoints, a non-serial policy.
+/// Every optional field set: model overrides, nested traversal, seed,
+/// mesh tally, checkpoints, a non-serial policy.
 fn fully_populated() -> RunPlan {
     RunPlan {
         model: ModelSpec {
@@ -42,15 +42,6 @@ fn fully_populated() -> RunPlan {
         checkpoint_every: Some(3),
         max_chain: 42,
         policy: PolicySpec::Distributed { ranks: 4 },
-        device: DeviceRef {
-            name: "mi250x".into(),
-            overrides: DeviceOverrides {
-                cores: Some(110),
-                clock_ghz: Some(1.25),
-                dram_gb_s: Some(1600.0),
-                link_gb_s: Some(18.0),
-            },
-        },
         ..RunPlan::default()
     }
 }
@@ -66,8 +57,8 @@ fn default_plan_text_and_hashes_are_the_pinned_literals() {
 #[test]
 fn fully_populated_plan_hashes_are_the_pinned_literals() {
     let plan = fully_populated();
-    assert_eq!(hash_hex(plan_hash(&plan)), "463babe09c3fd92d");
-    assert_eq!(hash_hex(problem_key(&plan)), "1b04680179116bc6");
+    assert_eq!(hash_hex(plan_hash(&plan)), "fc2e10335c54b08d");
+    assert_eq!(hash_hex(problem_key(&plan)), "46f47e3015b13429");
     assert_eq!(RunPlan::from_toml(&plan.to_toml()).expect("parse"), plan);
 }
 
