@@ -121,7 +121,7 @@ pub fn score(r: &GridBackendResult) -> Vec<CheckOutcome> {
 pub fn run(scale: f64, verbose: bool) -> GridBackendResult {
     // S(α,β)/URR removed, as in the paper's lookup micro-benchmark.
     // Contexts come from the process-wide cache: repeated harness runs in
-    // one process (mcs-check, criterion warmup) reuse the built indices.
+    // one process (mcs-check, `mcs-bench run --all`) reuse the built indices.
     let contexts: Vec<XsContext> = GridBackendKind::ALL
         .iter()
         .map(|&k| mcs_xs::cache::context_for_spec(&LibrarySpec::hm_small(), k))

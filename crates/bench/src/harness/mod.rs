@@ -32,6 +32,7 @@ pub mod futurework;
 pub mod geometry;
 pub mod grid_backend;
 pub mod invariant;
+pub mod kernels;
 pub mod serve_load;
 pub mod table;
 pub mod table1;
@@ -85,6 +86,7 @@ pub static HARNESSES: &[Harness] = &[
     serve_load::HARNESS,
     device_catalog::HARNESS,
     event_parallel::HARNESS,
+    kernels::HARNESS,
 ];
 
 /// What one harness run produced.

@@ -24,8 +24,8 @@ use std::time::Instant;
 use mcs_simd::feature::SimdFeatures;
 
 /// Where result files go: `MCS_RESULTS_DIR`, else `results/` at the
-/// workspace root (whatever the CWD — `cargo bench` and `cargo test`
-/// run in the package directory).
+/// workspace root (whatever the CWD — `cargo test` runs in the package
+/// directory).
 pub fn results_dir() -> PathBuf {
     match std::env::var_os("MCS_RESULTS_DIR") {
         Some(dir) => PathBuf::from(dir),

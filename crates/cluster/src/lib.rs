@@ -37,7 +37,6 @@ pub mod scaling;
 
 pub use adaptive::AdaptiveBalancer;
 pub use comm::CommModel;
-pub use mpi::{distributed_result, DistributedBatch, DistributedResult, DistributedSettings};
 pub use node::NodeSpec;
 pub use policy::{DistributedPolicy, RankBatchDetail};
 pub use rank::Rank;

@@ -24,26 +24,22 @@
 //!
 //! # Fault tolerance
 //!
-//! A seeded [`FaultPlan`] can kill ranks, slow stragglers, or both —
-//! deterministically, so any failure replays. Deaths are detected at the
+//! A seeded [`mcs_faults::FaultPlan`] can kill ranks, slow stragglers,
+//! or both — deterministically, so any failure replays. Deaths are detected at the
 //! per-batch status barrier: a rank scheduled to die at batch `d`
 //! completes batch `d-1` in full, announces its departure in that batch's
 //! status exchange, and exits; every survivor marks it dead and
 //! redistributes its quota (chunk-aligned, proportional to prior
 //! assignments) before batch `d` begins. No particles are lost, so the
 //! degraded run's physics — and k-eff — is bit-identical to the healthy
-//! run's. Periodic [`Statepoint`] checkpoints (identical on every rank)
-//! let a killed job resume via `mcs_core::engine::resume_with_problem`
-//! under any policy — distributed or serial — again bit-exactly.
+//! run's. Periodic [`mcs_core::statepoint::Statepoint`] checkpoints
+//! (identical on every rank) let a killed job resume via
+//! `mcs_core::engine::resume_with_problem` under any policy —
+//! distributed or serial — again bit-exactly.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use mcs_core::engine::{self, PolicySpec, RunPlan};
 use mcs_core::particle::{sort_sites, Site};
-use mcs_core::statepoint::Statepoint;
 use mcs_core::tally::Tallies;
-use mcs_faults::{FaultLog, FaultPlan};
-
-use crate::policy::DistributedPolicy;
 
 /// A message between ranks. The `u32` is the sender's rank.
 enum Message {
@@ -178,182 +174,56 @@ impl Comm {
     }
 }
 
-/// Settings for a distributed eigenvalue run.
-#[derive(Debug, Clone)]
-pub struct DistributedSettings {
-    /// Total particles per batch (across all ranks).
-    pub total_particles: usize,
-    /// Source-convergence batches.
-    pub inactive: usize,
-    /// Tallied batches.
-    pub active: usize,
-    /// Initial per-rank particle assignment (must sum to
-    /// `total_particles`); `None` = chunk-aligned even split.
-    pub assignments: Option<Vec<u64>>,
-    /// Rebalance between batches from measured rank times (§V's runtime
-    /// α adaptation), chunk-aligned.
-    pub adaptive: bool,
-    /// Injected fault schedule (deaths, stragglers). `None` = healthy.
-    pub fault_plan: Option<FaultPlan>,
-    /// Write a [`Statepoint`] after every `n` completed batches.
-    pub checkpoint_every: Option<usize>,
-}
-
-impl DistributedSettings {
-    /// A healthy, checkpoint-free run (the pre-fault-layer default).
-    pub fn simple(total_particles: usize, inactive: usize, active: usize) -> Self {
-        Self {
-            total_particles,
-            inactive,
-            active,
-            assignments: None,
-            adaptive: false,
-            fault_plan: None,
-            checkpoint_every: None,
-        }
-    }
-}
-
-/// Per-batch record of a distributed run.
-#[derive(Debug, Clone)]
-pub struct DistributedBatch {
-    /// Batch index.
-    pub index: usize,
-    /// Active (tallied)?
-    pub active: bool,
-    /// Global track-length k estimate.
-    pub k_track: f64,
-    /// Shannon entropy of the global fission bank.
-    pub entropy: f64,
-    /// Per-rank particle assignment used this batch.
-    pub assignments: Vec<u64>,
-    /// Per-rank wall times (seconds; 0 for dead ranks).
-    pub rank_times: Vec<f64>,
-    /// Which ranks participated in this batch.
-    pub alive: Vec<bool>,
-}
-
-/// Result of a distributed eigenvalue run.
-#[derive(Debug, Clone)]
-pub struct DistributedResult {
-    /// Per-batch records.
-    pub batches: Vec<DistributedBatch>,
-    /// Mean k over completed active batches.
-    pub k_mean: f64,
-    /// Merged global tallies over completed active batches.
-    pub tallies: Tallies,
-    /// Periodic checkpoints, oldest first (identical on every rank).
-    pub checkpoints: Vec<Statepoint>,
-    /// Faults observed during the run, in event order.
-    pub fault_log: FaultLog,
-    /// Whether the full batch plan completed (false = the job aborted
-    /// because every rank died; resume from `checkpoints.last()`).
-    pub completed: bool,
-}
-
-impl DistributedSettings {
-    /// The engine [`RunPlan`] this settings struct describes (history
-    /// algorithm, (8,8,4) entropy mesh — the legacy distributed driver's
-    /// hardcoded choices). Run it with
-    /// `mcs_core::engine::run_with_problem` and [`Self::to_policy`].
-    pub fn to_plan(&self, n_ranks: usize) -> RunPlan {
-        RunPlan {
-            particles: self.total_particles,
-            inactive: self.inactive,
-            active: self.active,
-            entropy_mesh: (8, 8, 4),
-            checkpoint_every: self.checkpoint_every,
-            policy: PolicySpec::Distributed { ranks: n_ranks },
-            ..RunPlan::default()
-        }
-    }
-
-    /// The [`DistributedPolicy`] this settings struct describes.
-    pub fn to_policy(&self, n_ranks: usize) -> DistributedPolicy {
-        DistributedPolicy::new(n_ranks)
-            .with_assignments(self.assignments.clone())
-            .with_adaptive(self.adaptive)
-            .with_fault_plan(self.fault_plan.clone())
-    }
-}
-
-/// Assemble the [`DistributedResult`] view from an engine report plus
-/// the policy's per-rank decomposition records.
-pub fn distributed_result(
-    report: engine::RunReport,
-    policy: &mut DistributedPolicy,
-) -> DistributedResult {
-    let details = policy.take_details();
-    let batches = report
-        .batches
-        .iter()
-        .zip(details)
-        .map(|(b, d)| {
-            debug_assert_eq!(b.index, d.index);
-            DistributedBatch {
-                index: b.index,
-                active: b.active,
-                k_track: b.k_track,
-                entropy: b.entropy,
-                assignments: d.assignments,
-                rank_times: d.rank_times,
-                alive: d.alive,
-            }
-        })
-        .collect();
-    DistributedResult {
-        batches,
-        k_mean: report.result.k_mean,
-        tallies: report.result.tallies,
-        checkpoints: report.checkpoints,
-        fault_log: policy.take_fault_log(),
-        completed: report.completed,
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::policy::DistributedPolicy;
+    use mcs_core::engine::{self, RunPlan, RunReport};
     use mcs_core::problem::Problem;
-    use mcs_faults::FaultRecordKind;
+    use mcs_faults::{FaultPlan, FaultRecordKind};
     use std::sync::Arc;
 
     fn problem() -> Arc<Problem> {
         Arc::new(Problem::test_small())
     }
 
-    fn settings(n: usize) -> DistributedSettings {
-        DistributedSettings::simple(n, 1, 2)
+    /// A history-algorithm plan on the (8,8,4) entropy mesh.
+    fn plan(particles: usize, inactive: usize, active: usize) -> RunPlan {
+        RunPlan {
+            particles,
+            inactive,
+            active,
+            entropy_mesh: (8, 8, 4),
+            ..RunPlan::default()
+        }
     }
 
-    /// Run the settings through the engine under a distributed policy
-    /// (the composition the removed legacy driver used to hide).
-    fn run_distributed_eigenvalue(
-        problem: &Arc<Problem>,
-        n_ranks: usize,
-        settings: &DistributedSettings,
-    ) -> DistributedResult {
-        let plan = settings.to_plan(n_ranks);
-        let mut policy = settings.to_policy(n_ranks);
-        let report = engine::run_with_problem(problem, &plan, &mut policy).into_eigenvalue();
-        distributed_result(report, &mut policy)
+    /// Run `plan` through the engine on `policy`'s simulated ranks.
+    fn run(problem: &Problem, plan: &RunPlan, policy: &mut DistributedPolicy) -> RunReport {
+        engine::run_with_problem(problem, plan, policy).into_eigenvalue()
+    }
+
+    /// [`run`] on a healthy, evenly split `n_ranks`-rank policy.
+    fn run_even(problem: &Problem, plan: &RunPlan, n_ranks: usize) -> RunReport {
+        run(problem, plan, &mut DistributedPolicy::new(n_ranks))
     }
 
     #[test]
     fn distributed_matches_any_rank_count() {
         let p = problem();
-        let r1 = run_distributed_eigenvalue(&p, 1, &settings(300));
-        let r2 = run_distributed_eigenvalue(&p, 2, &settings(300));
-        let r4 = run_distributed_eigenvalue(&p, 4, &settings(300));
+        let plan = plan(300, 1, 2);
+        let r1 = run_even(&p, &plan, 1);
+        let r2 = run_even(&p, &plan, 2);
+        let r4 = run_even(&p, &plan, 4);
         // Integer tallies identical — and with the chunk-keyed reduce
         // over chunk-aligned default splits the float sums are now
         // bitwise identical too, not merely close.
-        assert_eq!(r1.tallies.collisions, r2.tallies.collisions);
-        assert_eq!(r1.tallies.collisions, r4.tallies.collisions);
-        assert_eq!(r1.tallies.absorptions, r4.tallies.absorptions);
-        assert_eq!(r1.tallies.fissions, r4.tallies.fissions);
-        assert_eq!(r1.tallies, r2.tallies);
-        assert_eq!(r1.tallies, r4.tallies);
+        let (t1, t2, t4) = (&r1.result.tallies, &r2.result.tallies, &r4.result.tallies);
+        assert_eq!(t1.collisions, t2.collisions);
+        assert_eq!(t1.collisions, t4.collisions);
+        assert_eq!(t1.absorptions, t4.absorptions);
+        assert_eq!(t1.fissions, t4.fissions);
+        assert_eq!(t1, t2);
+        assert_eq!(t1, t4);
         for (a, b) in [(&r1, &r2), (&r1, &r4)] {
             for (x, y) in a.batches.iter().zip(&b.batches) {
                 assert_eq!(x.k_track.to_bits(), y.k_track.to_bits());
@@ -370,17 +240,11 @@ mod tests {
         // k bitwise (identical streams, identical resampling, identical
         // summation tree via the chunk-keyed all-reduce).
         let p = problem();
-        let serial_plan = RunPlan {
-            particles: 300,
-            inactive: 1,
-            active: 2,
-            entropy_mesh: (8, 8, 4),
-            ..RunPlan::default()
-        };
-        let serial = engine::run_with_problem(&p, &serial_plan, &mut engine::Threaded::ambient())
+        let plan = plan(300, 1, 2);
+        let serial = engine::run_with_problem(&p, &plan, &mut engine::Threaded::ambient())
             .into_eigenvalue()
             .result;
-        let dist = run_distributed_eigenvalue(&p, 3, &settings(300));
+        let dist = run_even(&p, &plan, 3);
         for (a, b) in serial.batches.iter().zip(&dist.batches) {
             assert_eq!(
                 a.k_track.to_bits(),
@@ -391,8 +255,8 @@ mod tests {
                 b.k_track
             );
         }
-        assert_eq!(serial.tallies, dist.tallies);
-        assert_eq!(serial.k_mean.to_bits(), dist.k_mean.to_bits());
+        assert_eq!(serial.tallies, dist.result.tallies);
+        assert_eq!(serial.k_mean.to_bits(), dist.result.k_mean.to_bits());
     }
 
     #[test]
@@ -401,15 +265,15 @@ mod tests {
         // since every backend resolves identical grid intervals, the
         // distributed per-batch k must be bit-identical across backends.
         use mcs_core::problem::GridBackendKind;
-        let results: Vec<DistributedResult> = GridBackendKind::ALL
+        let results: Vec<RunReport> = GridBackendKind::ALL
             .iter()
             .map(|&kind| {
-                let p = Arc::new(Problem::test_small_with_backend(kind));
-                run_distributed_eigenvalue(&p, 2, &settings(300))
+                let p = Problem::test_small_with_backend(kind);
+                run_even(&p, &plan(300, 1, 2), 2)
             })
             .collect();
         for other in &results[1..] {
-            assert_eq!(results[0].tallies, other.tallies);
+            assert_eq!(results[0].result.tallies, other.result.tallies);
             for (a, b) in results[0].batches.iter().zip(&other.batches) {
                 assert_eq!(a.k_track.to_bits(), b.k_track.to_bits());
             }
@@ -419,12 +283,14 @@ mod tests {
     #[test]
     fn distributed_is_partition_invariant() {
         let p = problem();
-        let mut s = settings(300);
-        s.assignments = Some(vec![250, 50]);
-        let skewed = run_distributed_eigenvalue(&p, 2, &s);
-        s.assignments = Some(vec![10, 290]);
-        let skewed2 = run_distributed_eigenvalue(&p, 2, &s);
-        assert_eq!(skewed.tallies.collisions, skewed2.tallies.collisions);
+        let plan = plan(300, 1, 2);
+        let split = |a: Vec<u64>| DistributedPolicy::new(2).with_assignments(Some(a));
+        let skewed = run(&p, &plan, &mut split(vec![250, 50]));
+        let skewed2 = run(&p, &plan, &mut split(vec![10, 290]));
+        assert_eq!(
+            skewed.result.tallies.collisions,
+            skewed2.result.tallies.collisions
+        );
         for (x, y) in skewed.batches.iter().zip(&skewed2.batches) {
             assert!((x.k_track - y.k_track).abs() < 1e-12);
         }
@@ -433,31 +299,28 @@ mod tests {
     #[test]
     fn adaptive_rebalancing_runs_and_preserves_physics() {
         let p = problem();
-        let mut s = settings(600);
-        s.adaptive = true;
-        s.inactive = 1;
-        s.active = 3;
-        let adaptive = run_distributed_eigenvalue(&p, 2, &s);
-        s.adaptive = false;
-        let fixed = run_distributed_eigenvalue(&p, 2, &s);
+        let plan = plan(600, 1, 3);
+        let mut adaptive_policy = DistributedPolicy::new(2).with_adaptive(true);
+        let adaptive = run(&p, &plan, &mut adaptive_policy);
+        let fixed = run_even(&p, &plan, 2);
         // Rebalancing changes who computes what, never what is computed.
-        assert_eq!(adaptive.tallies, fixed.tallies);
+        assert_eq!(adaptive.result.tallies, fixed.result.tallies);
         for (x, y) in adaptive.batches.iter().zip(&fixed.batches) {
             assert_eq!(x.k_track.to_bits(), y.k_track.to_bits());
         }
         // And the later batches' assignments must still sum to the total.
-        for b in &adaptive.batches {
-            assert_eq!(b.assignments.iter().sum::<u64>(), 600);
+        assert_eq!(adaptive_policy.details().len(), adaptive.batches.len());
+        for d in adaptive_policy.details() {
+            assert_eq!(d.assignments.iter().sum::<u64>(), 600);
         }
     }
 
     #[test]
     fn bad_assignments_are_rejected() {
         let p = problem();
-        let mut s = settings(100);
-        s.assignments = Some(vec![50, 49]); // sums to 99
+        let mut policy = DistributedPolicy::new(2).with_assignments(Some(vec![50, 49])); // sums to 99
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_distributed_eigenvalue(&p, 2, &s)
+            run(&p, &plan(100, 1, 2), &mut policy)
         }));
         assert!(r.is_err());
     }
@@ -465,42 +328,45 @@ mod tests {
     #[test]
     fn rank_death_degrades_gracefully_and_preserves_physics() {
         let p = problem();
-        let mut s = settings(600);
-        s.inactive = 1;
-        s.active = 3;
-        let healthy = run_distributed_eigenvalue(&p, 3, &s);
+        let plan = plan(600, 1, 3);
+        let healthy = run_even(&p, &plan, 3);
 
-        s.fault_plan = Some(FaultPlan::new(11).with_rank_death(1, 2));
-        let degraded = run_distributed_eigenvalue(&p, 3, &s);
+        let mut policy = DistributedPolicy::new(3)
+            .with_fault_plan(Some(FaultPlan::new(11).with_rank_death(1, 2)));
+        let degraded = run(&p, &plan, &mut policy);
         assert!(degraded.completed);
-        assert_eq!(degraded.fault_log.n_deaths(), 1);
+        assert_eq!(policy.fault_log().n_deaths(), 1);
         // Bit-identical physics: the dead rank's quota moved, nothing
         // was lost.
-        assert_eq!(healthy.tallies, degraded.tallies);
-        assert_eq!(healthy.k_mean.to_bits(), degraded.k_mean.to_bits());
+        assert_eq!(healthy.result.tallies, degraded.result.tallies);
+        assert_eq!(
+            healthy.result.k_mean.to_bits(),
+            degraded.result.k_mean.to_bits()
+        );
         // The dead rank has no work from its death batch on.
-        for b in &degraded.batches {
-            if b.index >= 2 {
-                assert_eq!(b.assignments[1], 0, "batch {}", b.index);
-                assert!(!b.alive[1]);
+        assert_eq!(policy.details().len(), degraded.batches.len());
+        for d in policy.details() {
+            if d.index >= 2 {
+                assert_eq!(d.assignments[1], 0, "batch {}", d.index);
+                assert!(!d.alive[1]);
             }
-            assert_eq!(b.assignments.iter().sum::<u64>(), 600);
+            assert_eq!(d.assignments.iter().sum::<u64>(), 600);
         }
     }
 
     #[test]
     fn all_ranks_dead_aborts_with_checkpoint() {
         let p = problem();
-        let mut s = settings(300);
-        s.inactive = 1;
-        s.active = 3;
-        s.checkpoint_every = Some(2);
-        s.fault_plan = Some(
+        let plan = RunPlan {
+            checkpoint_every: Some(2),
+            ..plan(300, 1, 3)
+        };
+        let mut policy = DistributedPolicy::new(2).with_fault_plan(Some(
             FaultPlan::new(5)
                 .with_rank_death(0, 3)
                 .with_rank_death(1, 3),
-        );
-        let r = run_distributed_eigenvalue(&p, 2, &s);
+        ));
+        let r = run(&p, &plan, &mut policy);
         assert!(!r.completed, "the job lost every rank");
         assert_eq!(r.batches.len(), 3); // batches 0..3 ran
         assert_eq!(r.checkpoints.len(), 1);
@@ -510,18 +376,12 @@ mod tests {
     #[test]
     fn checkpoints_match_the_serial_statepoint() {
         let p = problem();
-        let mut s = settings(600);
-        s.inactive = 1;
-        s.active = 2;
-        s.checkpoint_every = Some(2);
-        let dist = run_distributed_eigenvalue(&p, 2, &s);
-        let serial_plan = RunPlan {
-            particles: 600,
-            inactive: 1,
-            active: 2,
-            entropy_mesh: (8, 8, 4),
-            ..RunPlan::default()
+        let serial_plan = plan(600, 1, 2);
+        let dist_plan = RunPlan {
+            checkpoint_every: Some(2),
+            ..serial_plan.clone()
         };
+        let dist = run_even(&p, &dist_plan, 2);
         let serial_sp = engine::run_batches(
             &p,
             &serial_plan,
@@ -541,16 +401,17 @@ mod tests {
     #[test]
     fn straggler_slows_reported_time_only() {
         let p = problem();
-        let mut s = settings(600);
-        s.fault_plan = Some(FaultPlan::new(3).with_straggler(0, 1, 1000.0));
-        let r = run_distributed_eigenvalue(&p, 2, &s);
-        let healthy = run_distributed_eigenvalue(&p, 2, &settings(600));
-        assert_eq!(r.tallies, healthy.tallies);
+        let plan = plan(600, 1, 2);
+        let mut policy = DistributedPolicy::new(2)
+            .with_fault_plan(Some(FaultPlan::new(3).with_straggler(0, 1, 1000.0)));
+        let r = run(&p, &plan, &mut policy);
+        let healthy = run_even(&p, &plan, 2);
+        assert_eq!(r.result.tallies, healthy.result.tallies);
         // The straggler batch reports a grossly inflated rank-0 time.
-        let b1 = &r.batches[1];
+        let b1 = &policy.details()[1];
         assert!(b1.rank_times[0] > 100.0 * b1.rank_times[1].max(1e-9));
-        assert!(r
-            .fault_log
+        assert!(policy
+            .fault_log()
             .records
             .iter()
             .any(|rec| matches!(rec.kind, FaultRecordKind::Straggler(f) if f == 1000.0)));

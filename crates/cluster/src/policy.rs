@@ -42,8 +42,7 @@ use crate::mpi::Comm;
 type RankOutput = (Vec<Site>, Tallies, Vec<f64>, Option<EventStats>);
 
 /// Per-batch decomposition record: who computed what, how fast, and who
-/// was alive. The `DistributedResult` view is rebuilt by zipping these
-/// with the engine's batch records.
+/// was alive; record `i` belongs to the engine's batch record `i`.
 #[derive(Debug, Clone)]
 pub struct RankBatchDetail {
     /// Batch index.
@@ -151,11 +150,6 @@ impl DistributedPolicy {
     /// Per-batch decomposition records accumulated so far.
     pub fn details(&self) -> &[RankBatchDetail] {
         &self.details
-    }
-
-    /// Take the decomposition records, leaving the policy empty.
-    pub fn take_details(&mut self) -> Vec<RankBatchDetail> {
-        std::mem::take(&mut self.details)
     }
 
     /// Faults observed so far, in event order (identical to the legacy

@@ -19,17 +19,6 @@ pub fn alpha(cpu_rate: f64, mic_rate: f64) -> f64 {
     cpu_rate / mic_rate
 }
 
-/// Eq. 3: particles per MIC rank and per CPU rank.
-///
-/// Returns `(n_mic, n_cpu)` as reals; use [`proportional_split`] when you
-/// need an exact integral assignment.
-pub fn partition_alpha(n_total: u64, p_mic: u64, p_cpu: u64, alpha: f64) -> (f64, f64) {
-    assert!(p_mic + p_cpu > 0);
-    let denom = p_mic as f64 + p_cpu as f64 * alpha;
-    let n_mic = n_total as f64 / denom;
-    (n_mic, alpha * n_mic)
-}
-
 /// Split `n_total` particles across ranks proportionally to their
 /// `rates`, with largest-remainder rounding (assignments sum exactly to
 /// `n_total`).
@@ -177,10 +166,6 @@ mod tests {
     fn paper_example_numbers() {
         // §III-B3: n_total = 1e7, α = 0.62, one CPU and one MIC rank
         // → n_mic = 6,172,840 and n_cpu = 3,827,160.
-        let (n_mic, n_cpu) = partition_alpha(10_000_000, 1, 1, 0.62);
-        assert!((n_mic - 6_172_839.5).abs() < 1.0, "n_mic = {n_mic}");
-        assert!((n_cpu - 3_827_160.5).abs() < 1.0);
-
         let split = proportional_split(10_000_000, &[1.0, 0.62]);
         assert_eq!(split.iter().sum::<u64>(), 10_000_000);
         assert_eq!(split[0], 6_172_840); // mic (rate 1)
@@ -238,7 +223,7 @@ mod tests {
             for &a in &split[..split.len() - 1] {
                 prefix += a;
                 assert!(
-                    prefix % 256 == 0 || prefix == n,
+                    prefix.is_multiple_of(256) || prefix == n,
                     "boundary {prefix} not aligned for n={n} {weights:?}"
                 );
             }

@@ -122,14 +122,6 @@ impl RunOutput {
             RunOutput::FixedSource(_) => panic!("run produced a fixed-source result"),
         }
     }
-
-    /// Unwrap the fixed-source result (panics on an eigenvalue run).
-    pub fn into_fixed_source(self) -> FixedSourceResult {
-        match self {
-            RunOutput::FixedSource(r) => *r,
-            RunOutput::Eigenvalue(_) => panic!("run produced an eigenvalue result"),
-        }
-    }
 }
 
 /// Build the problem described by `plan` and execute it under `policy`.
@@ -483,7 +475,8 @@ pub struct BatchRequest<'a> {
     pub mesh: Option<MeshSpec>,
     /// Score a flux spectrum (history only).
     pub spectrum: bool,
-    /// External profiler: forces the sequential fig. 4 history path.
+    /// External profiler: runs the history chunks sequentially (fig. 4);
+    /// changes no result bit.
     pub profiler: Option<&'a mcs_prof::ThreadProfiler>,
 }
 

@@ -50,8 +50,9 @@ pub struct BatchContext<'a> {
     pub mesh: Option<MeshSpec>,
     /// Score a flux spectrum this batch (history algorithm only).
     pub spectrum: bool,
-    /// External profiler: forces the sequential single-accumulator
-    /// history path that fig. 4 measures (history algorithm only).
+    /// External profiler: runs the history chunks sequentially on the
+    /// calling thread, as fig. 4 measures them — same result bits as an
+    /// unprofiled batch (history algorithm only).
     pub profiler: Option<&'a ThreadProfiler>,
 }
 

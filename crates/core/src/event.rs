@@ -29,13 +29,13 @@
 //! same per-particle order as the history loop, the two algorithms also
 //! produce *identical trajectories* — asserted by integration tests.
 //!
-//! Stage timing goes through `mcs-prof`: the driver opens one profiler
-//! region per stage dispatch, and since stages are barrier-synchronized,
-//! each region's inclusive time is that stage's wall time even when the
-//! workers inside run concurrently.
+//! Stage timing is one `Instant` pair per stage dispatch on the driver
+//! thread: stages are barrier-synchronized, so that interval is the
+//! stage's wall time even when the workers inside run concurrently.
+
+use std::time::{Duration, Instant};
 
 use mcs_geom::{Vec3, BOUNDARY_EPS};
-use mcs_prof::ThreadProfiler;
 use mcs_rng::batch::lcg_fill_uniform;
 use mcs_rng::Lcg63;
 use mcs_simd::F64x8;
@@ -291,7 +291,7 @@ fn event_pipeline(
     let mut out = TransportOutcome::default();
     out.tallies.n_particles = n as u64;
     let mut stats = EventStats::default();
-    let prof = ThreadProfiler::new();
+    let mut stage_time = [Duration::ZERO; 6];
 
     let mut xs_buf: Vec<MacroXs> = vec![MacroXs::default(); n];
     let mut d_coll = vec![0.0f64; n];
@@ -322,7 +322,7 @@ fn event_pipeline(
 
         // --- Stage 1: locate ------------------------------------------
         {
-            let _g = prof.enter(EventStats::STAGE_NAMES[0]);
+            let t0 = Instant::now();
             let leaks: u64 = {
                 let ParticleBank {
                     x,
@@ -357,6 +357,7 @@ fn event_pipeline(
             };
             out.tallies.leaks += leaks;
             bank.retain_alive(&dead);
+            stage_time[0] += t0.elapsed();
         }
         if bank.n_alive() == 0 {
             break;
@@ -370,7 +371,7 @@ fn event_pipeline(
         // sampling draws) afterwards — exactly
         // `Problem::macro_xs_vector`, batched.
         {
-            let _g = prof.enter(EventStats::STAGE_NAMES[1]);
+            let t0 = Instant::now();
             // Counted here, not read off `problem.xs`'s shared atomic:
             // concurrent runs on one `Problem` must not absorb each
             // other's lookups.
@@ -414,6 +415,7 @@ fn event_pipeline(
                     unsafe { xs_w.set(i, xs) };
                 }
             });
+            stage_time[1] += t0.elapsed();
         }
 
         // --- Stage 3: sample collision distances ----------------------
@@ -424,7 +426,7 @@ fn event_pipeline(
         // expression bit for bit; only ln stays scalar (its libm result
         // is the reference the history loop uses).
         {
-            let _g = prof.enter(EventStats::STAGE_NAMES[2]);
+            let t0 = Instant::now();
             let alive = &bank.alive[..];
             let rng = SyncSlice::new(&mut bank.rng);
             let xs = &xs_buf[..];
@@ -463,11 +465,12 @@ fn event_pipeline(
                     }
                 }
             });
+            stage_time[2] += t0.elapsed();
         }
 
         // --- Stage 4: boundary distances -------------------------------
         {
-            let _g = prof.enter(EventStats::STAGE_NAMES[3]);
+            let t0 = Instant::now();
             let alive = &bank.alive[..];
             let bank_ref = &bank;
             let d_w = SyncSlice::new(&mut d_bound);
@@ -479,6 +482,7 @@ fn event_pipeline(
                     unsafe { d_w.set(i, d) };
                 }
             });
+            stage_time[3] += t0.elapsed();
         }
 
         // --- Stage 5: advance / collide --------------------------------
@@ -488,7 +492,7 @@ fn event_pipeline(
         // Float tallies bypass the chunk partials entirely: they land in
         // per-particle slots and fold canonically after the pipeline.
         {
-            let _g = prof.enter(EventStats::STAGE_NAMES[4]);
+            let t0 = Instant::now();
             let partials: Vec<(Tallies, Vec<Site>, Option<MeshTally>)> = {
                 let ParticleBank {
                     x,
@@ -642,26 +646,21 @@ fn event_pipeline(
                     m.merge(pm);
                 }
             }
+            stage_time[4] += t0.elapsed();
         }
 
         // --- Stage 6: compact ------------------------------------------
         {
-            let _g = prof.enter(EventStats::STAGE_NAMES[5]);
+            let t0 = Instant::now();
             bank.retain_alive(&dead);
+            stage_time[5] += t0.elapsed();
         }
     }
 
     // Events discover sites in generation order; restore history order.
     sort_sites(&mut out.sites);
 
-    // Stages are barrier-synchronized, so each region's inclusive time is
-    // its stage's wall time; the sum is the staged region's wall time.
-    let profile = prof.finish();
-    for (k, name) in EventStats::STAGE_NAMES.iter().enumerate() {
-        if let Some(r) = profile.get(name) {
-            stats.stage_seconds[k] = r.inclusive.as_secs_f64();
-        }
-    }
+    stats.stage_seconds = stage_time.map(|t| t.as_secs_f64());
     PipelineRaw {
         out,
         stats,

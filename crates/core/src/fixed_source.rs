@@ -304,7 +304,7 @@ mod tests {
             max_chain: 10_000,
         };
         let r = run_fixed_source_impl(&problem, &s);
-        assert_eq!(r.tallies.n_particles, (200 + r.progeny) as u64);
+        assert_eq!(r.tallies.n_particles, 200 + r.progeny);
         assert!(r.tallies.collisions > 0);
         assert_eq!(
             r.tallies.absorptions + r.tallies.leaks,

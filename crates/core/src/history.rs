@@ -213,14 +213,12 @@ fn transport_particle_inner(
 ///
 /// * `mesh_spec` — score a mesh tally along every segment.
 /// * `want_spectrum` — score a full-range energy spectrum.
-/// * `profiler` — run *sequentially* on the calling thread under the
-///   `transport_total` region with per-routine attribution (the fig. 4
-///   measurement; its single-accumulator float fold is part of the
-///   measurement and differs from the chunked tree above `CHUNK`
-///   particles, which is why the profiled path stays sequential).
+/// * `profiler` — run the chunks *sequentially* on the calling thread
+///   under the `transport_total` region with per-routine attribution
+///   (the fig. 4 measurement).
 ///
-/// The parallel path chunks `CHUNK` particles per task and folds partial
-/// results in chunk order, so every thread count reproduces the serial
+/// Either way the batch is `CHUNK` particles per task, folded in chunk
+/// order: every thread count, and the profiled run, reproduce the one
 /// summation tree bit for bit.
 pub(crate) fn run_history_batch(
     problem: &Problem,
@@ -232,34 +230,10 @@ pub(crate) fn run_history_batch(
 ) -> (TransportOutcome, Option<MeshTally>, Option<SpectrumTally>) {
     assert_eq!(sources.len(), streams.len());
 
-    if let Some(prof) = profiler {
-        // Sequential instrumented path: one accumulator, no chunk fold —
-        // bit-identical to the historical `run_histories_profiled`.
-        let mut out = TransportOutcome::default();
-        let mut mesh = mesh_spec.map(MeshTally::new);
-        let mut spectrum = want_spectrum.then(SpectrumTally::standard);
-        let _total = prof.enter("transport_total");
-        for (i, (&site, &rng)) in sources.iter().zip(streams).enumerate() {
-            let mut p = Particle::born(site, i as u32, rng);
-            transport_particle_full(
-                problem,
-                &mut p,
-                &mut out.tallies,
-                &mut out.sites,
-                Some(prof),
-                mesh.as_mut(),
-                spectrum.as_mut(),
-                None,
-            );
-        }
-        return (out, mesh, spectrum);
-    }
-
-    let partials: Vec<(TransportOutcome, Option<MeshTally>, Option<SpectrumTally>)> = sources
-        .par_chunks(CHUNK)
-        .zip(streams.par_chunks(CHUNK))
-        .enumerate()
-        .map(|(chunk_idx, (src, stream))| {
+    // `prof` is a parameter, not a capture: a `&ThreadProfiler` is not
+    // `Send`, and the parallel path shares this closure across workers.
+    let run_chunk =
+        |chunk_idx: usize, src: &[SourceSite], stream: &[Lcg63], prof: Option<&ThreadProfiler>| {
             let mut out = TransportOutcome::default();
             let mut mesh = mesh_spec.map(MeshTally::new);
             let mut spectrum = want_spectrum.then(SpectrumTally::standard);
@@ -271,15 +245,31 @@ pub(crate) fn run_history_batch(
                     &mut p,
                     &mut out.tallies,
                     &mut out.sites,
-                    None,
+                    prof,
                     mesh.as_mut(),
                     spectrum.as_mut(),
                     None,
                 );
             }
             (out, mesh, spectrum)
-        })
-        .collect();
+        };
+    let partials: Vec<_> = match profiler {
+        Some(prof) => {
+            let _total = prof.enter("transport_total");
+            sources
+                .chunks(CHUNK)
+                .zip(streams.chunks(CHUNK))
+                .enumerate()
+                .map(|(k, (src, stream))| run_chunk(k, src, stream, Some(prof)))
+                .collect()
+        }
+        None => sources
+            .par_chunks(CHUNK)
+            .zip(streams.par_chunks(CHUNK))
+            .enumerate()
+            .map(|(k, (src, stream))| run_chunk(k, src, stream, None))
+            .collect(),
+    };
 
     let mut merged = TransportOutcome::default();
     let mut mesh = mesh_spec.map(MeshTally::new);
@@ -428,18 +418,36 @@ mod tests {
     }
 
     #[test]
-    fn profiled_run_matches_parallel_run() {
+    fn profiled_run_matches_parallel_run_bitwise() {
+        // 600 particles = 3 chunks: a profiled batch that folded all of
+        // them through one accumulator would differ in the last bits.
         let problem = Problem::test_small();
-        let sources = problem.sample_initial_source(100, 2);
-        let streams = batch_streams(problem.seed, 0, 100);
+        let sources = problem.sample_initial_source(600, 2);
+        let streams = batch_streams(problem.seed, 0, 600);
         let prof = mcs_prof::ThreadProfiler::new();
         let a = run_history_batch(&problem, &sources, &streams, None, false, Some(&prof)).0;
         let b = run_history_batch(&problem, &sources, &streams, None, false, None).0;
+        for (name, x, y) in [
+            (
+                "track_length",
+                a.tallies.track_length,
+                b.tallies.track_length,
+            ),
+            ("k_track", a.tallies.k_track, b.tallies.k_track),
+            ("k_collision", a.tallies.k_collision, b.tallies.k_collision),
+            (
+                "k_absorption",
+                a.tallies.k_absorption,
+                b.tallies.k_absorption,
+            ),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits(), "{name}: {x:e} vs {y:e}");
+        }
         assert_eq!(a.tallies, b.tallies);
         assert_eq!(a.sites, b.sites);
         let profile = prof.finish();
         assert!(profile.get("calculate_xs").unwrap().calls > 0);
-        assert!(profile.get("transport_total").is_some());
+        assert_eq!(profile.get("transport_total").unwrap().calls, 1);
     }
 
     #[test]

@@ -277,7 +277,7 @@ mod tests {
                 .alive
                 .iter()
                 .copied()
-                .filter(|&i| (i as usize + round) % 3 == 0)
+                .filter(|&i| (i as usize + round).is_multiple_of(3))
                 .collect();
             let slots: Vec<usize> = by_slots
                 .alive

@@ -79,24 +79,6 @@ impl SpectrumTally {
             *a += b;
         }
     }
-
-    /// The per-lethargy flux averaged over an energy window (for shape
-    /// assertions).
-    pub fn mean_per_lethargy(&self, e_lo: f64, e_hi: f64) -> f64 {
-        let pl = self.per_lethargy();
-        let centers = self.bin_centers();
-        let sel: Vec<f64> = centers
-            .iter()
-            .zip(&pl)
-            .filter(|(&c, _)| c >= e_lo && c < e_hi)
-            .map(|(_, &v)| v)
-            .collect();
-        if sel.is_empty() {
-            0.0
-        } else {
-            sel.iter().sum::<f64>() / sel.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -138,6 +120,22 @@ mod tests {
         assert!((a.per_lethargy()[0] - 3.0 / 10f64.ln()).abs() < 1e-12);
     }
 
+    /// The per-lethargy flux averaged over an energy window.
+    fn mean_per_lethargy(s: &SpectrumTally, e_lo: f64, e_hi: f64) -> f64 {
+        let sel: Vec<f64> = s
+            .bin_centers()
+            .iter()
+            .zip(&s.per_lethargy())
+            .filter(|(&c, _)| c >= e_lo && c < e_hi)
+            .map(|(_, &v)| v)
+            .collect();
+        if sel.is_empty() {
+            0.0
+        } else {
+            sel.iter().sum::<f64>() / sel.len() as f64
+        }
+    }
+
     #[test]
     fn transported_spectrum_has_slowing_down_structure() {
         // The physics payoff test, on the full H.M. Small core. The
@@ -159,11 +157,11 @@ mod tests {
         assert!(spectrum.total() <= out.tallies.track_length * (1.0 + 1e-9));
         assert!(spectrum.total() > 0.9 * out.tallies.track_length);
 
-        let pileup = spectrum.mean_per_lethargy(1.0e-6, 4.5e-6); // 1–4.5 eV
-        let ladder = spectrum.mean_per_lethargy(1.0e-5, 1.0e-4); // 10–100 eV
-        let thermal = spectrum.mean_per_lethargy(1e-8, 2e-7);
-        let fast = spectrum.mean_per_lethargy(0.5, 3.0);
-        let cold = spectrum.mean_per_lethargy(1e-11, 1e-9);
+        let pileup = mean_per_lethargy(&spectrum, 1.0e-6, 4.5e-6); // 1–4.5 eV
+        let ladder = mean_per_lethargy(&spectrum, 1.0e-5, 1.0e-4); // 10–100 eV
+        let thermal = mean_per_lethargy(&spectrum, 1e-8, 2e-7);
+        let fast = mean_per_lethargy(&spectrum, 0.5, 3.0);
+        let cold = mean_per_lethargy(&spectrum, 1e-11, 1e-9);
 
         assert!(thermal > 0.0 && fast > 0.0);
         assert!(

@@ -150,17 +150,6 @@ impl BatchStats {
         }
         self.values.iter().sum::<f64>() / self.values.len() as f64
     }
-
-    /// Standard error of the mean (0 for < 2 samples).
-    pub fn std_error(&self) -> f64 {
-        let n = self.values.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (n - 1) as f64;
-        (var / n as f64).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -213,22 +202,19 @@ mod tests {
     }
 
     #[test]
-    fn batch_stats_mean_and_error() {
+    fn batch_stats_mean() {
         let mut s = BatchStats::default();
         for v in [1.0, 2.0, 3.0, 4.0] {
             s.push(v);
         }
         assert_eq!(s.n(), 4);
         assert!((s.mean() - 2.5).abs() < 1e-12);
-        // var = 5/3, se = sqrt(5/12)
-        assert!((s.std_error() - (5.0f64 / 12.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]
     fn empty_stats_are_safe() {
         let s = BatchStats::default();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.std_error(), 0.0);
         let t = Tallies::default();
         assert_eq!(t.k_track_estimate(), 0.0);
     }

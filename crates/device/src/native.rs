@@ -10,9 +10,7 @@ use mcs_core::problem::Problem;
 use mcs_core::tally::Tallies;
 
 use crate::spec::{KernelCounts, MachineSpec};
-use crate::workload::{
-    mesh_tally_segment_cost, segment_other_costs, xs_lookup_banked, xs_lookup_scalar, ProblemShape,
-};
+use crate::workload::{segment_other_costs, xs_lookup_banked, xs_lookup_scalar, ProblemShape};
 
 /// Which kernel style the machine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,9 +42,6 @@ pub struct NativeModel {
     pub kind: TransportKind,
     /// Fixed per-batch overhead (thread fork/join, tally reduction), s.
     pub batch_overhead_s: f64,
-    /// Score a user-defined mesh tally on every segment (the active-batch
-    /// configuration of §III-B1).
-    pub mesh_tally: bool,
 }
 
 impl NativeModel {
@@ -62,14 +57,7 @@ impl NativeModel {
             spec,
             kind,
             batch_overhead_s,
-            mesh_tally: false,
         }
-    }
-
-    /// Enable per-segment user-defined mesh-tally scoring.
-    pub fn with_mesh_tally(mut self) -> Self {
-        self.mesh_tally = true;
-        self
     }
 
     /// Total counts for a batch with the given instrumented tallies.
@@ -86,10 +74,7 @@ impl NativeModel {
                 TransportKind::HistoryScalar => xs_lookup_scalar(shape, m),
                 TransportKind::EventBanked => xs_lookup_banked(shape, m),
             };
-            let mut per_segment = lookup.add(&segment_other_costs(shape, m, cf));
-            if self.mesh_tally {
-                per_segment = per_segment.add(&mesh_tally_segment_cost());
-            }
+            let per_segment = lookup.add(&segment_other_costs(shape, m, cf));
             total = total.add(&per_segment.scale(segs));
         }
         total
@@ -199,40 +184,6 @@ mod tests {
         let r_mic = mic.calc_rate(&shape, &t);
         let alpha = r_host / r_mic;
         assert!((0.5..0.8).contains(&alpha), "alpha = {alpha:.3}");
-    }
-
-    #[test]
-    fn user_defined_tallies_cost_time_but_barely_move_alpha() {
-        // §III-B1 has two claims: α *can* differ between inactive and
-        // active batches when user-defined tallies run, but with the
-        // paper's (and our) cheap tallies against 300-nuclide lookups
-        // "there is little distinction". Verify both: the tally costs
-        // real time on both machines, yet α_a stays within ~2% of α_i.
-        let (_, t) = measured_tallies();
-        let shape = ProblemShape {
-            nuclides_per_material: vec![325, 1, 3],
-            union_points: 360_000,
-            full_physics: true,
-        };
-        let host = NativeModel::new(MachineSpec::host_e5_2687w(), TransportKind::HistoryScalar);
-        let mic = NativeModel::new(MachineSpec::mic_7120a(), TransportKind::HistoryScalar);
-        let host_m = NativeModel::new(MachineSpec::host_e5_2687w(), TransportKind::HistoryScalar)
-            .with_mesh_tally();
-        let mic_m = NativeModel::new(MachineSpec::mic_7120a(), TransportKind::HistoryScalar)
-            .with_mesh_tally();
-
-        // Mechanism: scoring costs time on both machines.
-        assert!(host_m.batch_time(&shape, &t) > host.batch_time(&shape, &t));
-        assert!(mic_m.batch_time(&shape, &t) > mic.batch_time(&shape, &t));
-
-        let alpha_i = host.calc_rate(&shape, &t) / mic.calc_rate(&shape, &t);
-        let alpha_a = host_m.calc_rate(&shape, &t) / mic_m.calc_rate(&shape, &t);
-        let shift = (alpha_a / alpha_i - 1.0).abs();
-        assert!(
-            shift < 0.02,
-            "cheap tallies moved alpha by {:.1}%",
-            shift * 100.0
-        );
     }
 
     #[test]

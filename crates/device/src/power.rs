@@ -48,13 +48,6 @@ impl PowerSpec {
         }
     }
 
-    /// Power numbers for a device-catalog entry (per-device TDP fields;
-    /// this is [`crate::catalog::DeviceSpec::power_spec`], exposed here
-    /// for symmetry with the legacy [`PowerSpec::for_machine`]).
-    pub fn for_device(dev: &crate::catalog::DeviceSpec) -> PowerSpec {
-        dev.power_spec()
-    }
-
     /// Energy for `busy_s` seconds of load followed by `idle_s` of idling.
     pub fn energy_j(&self, busy_s: f64, idle_s: f64) -> f64 {
         self.load_w * busy_s + self.idle_w * idle_s
@@ -78,11 +71,6 @@ impl EnergyReport {
     /// Neutrons per joule — the efficiency metric.
     pub fn neutrons_per_joule(&self) -> f64 {
         self.particles as f64 / self.energy_j
-    }
-
-    /// Mean power, watts.
-    pub fn mean_power_w(&self) -> f64 {
-        self.energy_j / self.wall_s
     }
 }
 
@@ -173,9 +161,9 @@ mod tests {
         for dev in crate::catalog::all() {
             let rate = dev.modeled_native_rate(dev.default_transport());
             let busy = n as f64 / rate;
-            let r = batch_energy(dev.id, &[(PowerSpec::for_device(&dev), busy)], n);
+            let r = batch_energy(dev.id, &[(dev.power_spec(), busy)], n);
             assert!(
-                (r.mean_power_w() - dev.power.load_w).abs() < 1e-9,
+                (r.energy_j / r.wall_s - dev.power.load_w).abs() < 1e-9,
                 "{}",
                 dev.id
             );
@@ -198,8 +186,7 @@ mod tests {
         let npj = |name: &str| {
             let dev = crate::catalog::device(name).unwrap();
             let rate = dev.modeled_native_rate(dev.default_transport());
-            batch_energy(name, &[(PowerSpec::for_device(&dev), n as f64 / rate)], n)
-                .neutrons_per_joule()
+            batch_energy(name, &[(dev.power_spec(), n as f64 / rate)], n).neutrons_per_joule()
         };
         let mut by_npj: Vec<&str> = crate::catalog::NAMES.to_vec();
         by_npj.sort_by(|a, b| npj(a).total_cmp(&npj(b)));
@@ -225,7 +212,7 @@ mod tests {
             idle_w: 10.0,
         };
         let r = batch_energy("x", &[(p, 10.0)], 1_000);
-        assert!((r.mean_power_w() - 100.0).abs() < 1e-9);
+        assert!((r.energy_j / r.wall_s - 100.0).abs() < 1e-9);
         assert!((r.neutrons_per_joule() - 1.0).abs() < 1e-9);
     }
 }

@@ -113,25 +113,6 @@ pub fn segment_other_costs(
     }
 }
 
-/// Per-segment cost of scoring a user-defined mesh tally: the DDA walk
-/// (a few cells per flight segment) plus the bin updates — scalar,
-/// branchy work (§III-B1: "α differs between active and inactive batches,
-/// particularly if user-defined tallies are collected throughout phase
-/// space").
-pub fn mesh_tally_segment_cost() -> KernelCounts {
-    KernelCounts {
-        scalar: 90.0,
-        dependent_scalar: 12.0,
-        stream_bytes: 24.0,
-        ..Default::default()
-    }
-}
-
-/// Full per-segment cost for history-style (scalar) transport.
-pub fn history_segment(shape: &ProblemShape, m: usize, collision_fraction: f64) -> KernelCounts {
-    xs_lookup_scalar(shape, m).add(&segment_other_costs(shape, m, collision_fraction))
-}
-
 /// Bytes of particle state shipped per banked particle, as a function of
 /// the nuclide count.
 ///
@@ -197,7 +178,11 @@ mod tests {
         let mix = [(0usize, 0.45), (1, 0.05), (2, 0.50)];
         let time = |spec: &MachineSpec| -> f64 {
             mix.iter()
-                .map(|&(m, w)| w * spec.kernel_time(&history_segment(&shape, m, 0.5)))
+                .map(|&(m, w)| {
+                    let segment =
+                        xs_lookup_scalar(&shape, m).add(&segment_other_costs(&shape, m, 0.5));
+                    w * spec.kernel_time(&segment)
+                })
                 .sum()
         };
         let alpha = time(&mic) / time(&cpu);

@@ -33,12 +33,6 @@ impl C64 {
         self.re * self.re + self.im * self.im
     }
 
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Self::new(self.re, -self.im)
-    }
-
     /// Complex exponential.
     #[inline]
     pub fn exp(self) -> Self {
@@ -129,7 +123,7 @@ mod tests {
         let z = C64::new(3.0, -4.0);
         assert_eq!(z.abs(), 5.0);
         assert_eq!(z.norm_sqr(), 25.0);
-        assert_eq!(z * z.conj(), C64::new(25.0, 0.0));
+        assert_eq!(z * C64::new(3.0, 4.0), C64::new(25.0, 0.0));
         assert!(close(z / z, C64::new(1.0, 0.0), 1e-15));
         assert_eq!(C64::I * C64::I, C64::new(-1.0, 0.0));
     }

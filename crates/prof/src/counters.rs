@@ -94,11 +94,6 @@ impl Counters {
         }
         Ok(c)
     }
-
-    /// Counters whose name starts with `prefix`, in key order.
-    pub fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = (&'a str, u64)> {
-        self.iter().filter(move |(k, _)| k.starts_with(prefix))
-    }
 }
 
 #[cfg(test)]
@@ -155,16 +150,6 @@ mod tests {
         assert!(Counters::from_json("{\"a\": -1}").is_err());
         assert!(Counters::from_json("{\"a\": 1.5}").is_err());
         assert!(Counters::from_json("{\"a\": 1").is_err());
-    }
-
-    #[test]
-    fn prefix_filter_selects_namespace() {
-        let mut c = Counters::new();
-        c.add("xs.lookups", 1);
-        c.add("xs.index_bytes", 2);
-        c.add("pcie.retries", 3);
-        let xs: Vec<&str> = c.with_prefix("xs.").map(|(k, _)| k).collect();
-        assert_eq!(xs, vec!["xs.index_bytes", "xs.lookups"]);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //!   *inclusive* and *exclusive* times are attributed correctly when
 //!   regions nest (e.g. `calculate_xs` inside `transport_history`).
 //! * [`Profile`] — merged statistics across threads, sorted reports.
-//! * [`ProfileCompare`] — the two-column comparison view used by the
-//!   Fig. 4 harness.
 //!
 //! Instrumentation is intentionally coarse-grained (whole routines, not
 //! inner loops); a start/stop pair costs two `Instant::now()` calls.
@@ -29,14 +27,12 @@
 #![warn(missing_docs)]
 
 pub mod counters;
-pub mod json;
 pub mod report;
 pub mod timer;
 pub mod value;
 
 pub use counters::Counters;
-pub use json::ProfileSnapshot;
-pub use report::{Profile, ProfileCompare, RegionStats};
+pub use report::{Profile, RegionStats};
 pub use timer::{RegionGuard, ThreadProfiler};
 pub use value::{JsonValue, JsonWriteError};
 

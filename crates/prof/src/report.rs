@@ -15,42 +15,14 @@ pub struct RegionStats {
 }
 
 /// A merged, thread-summed profile.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Profile {
     stats: HashMap<&'static str, RegionStats>,
-    path_stats: HashMap<String, RegionStats>,
 }
 
 impl Profile {
-    #[cfg(test)]
     pub(crate) fn from_stats(stats: HashMap<&'static str, RegionStats>) -> Self {
-        Self {
-            stats,
-            path_stats: HashMap::new(),
-        }
-    }
-
-    pub(crate) fn from_stats_with_paths(
-        stats: HashMap<&'static str, RegionStats>,
-        path_stats: HashMap<String, RegionStats>,
-    ) -> Self {
-        Self { stats, path_stats }
-    }
-
-    /// Call-path statistics ("a => b => c"), TAU's callpath view.
-    pub fn path(&self, path: &str) -> Option<&RegionStats> {
-        self.path_stats.get(path)
-    }
-
-    /// All call paths sorted by descending inclusive time.
-    pub fn sorted_paths(&self) -> Vec<(&str, RegionStats)> {
-        let mut v: Vec<_> = self
-            .path_stats
-            .iter()
-            .map(|(k, s)| (k.as_str(), *s))
-            .collect();
-        v.sort_by_key(|(_, s)| std::cmp::Reverse(s.inclusive));
-        v
+        Self { stats }
     }
 
     /// Statistics for one region, if recorded.
@@ -58,21 +30,10 @@ impl Profile {
         self.stats.get(name)
     }
 
-    /// Iterate all regions in unspecified order.
-    pub fn regions(&self) -> impl Iterator<Item = (&'static str, &RegionStats)> {
-        self.stats.iter().map(|(k, v)| (*k, v))
-    }
-
     /// Fold another profile (e.g. another thread's) into this one.
     pub fn merge(&mut self, other: &Profile) {
         for (name, s) in &other.stats {
             let e = self.stats.entry(name).or_default();
-            e.calls += s.calls;
-            e.inclusive += s.inclusive;
-            e.exclusive += s.exclusive;
-        }
-        for (path, s) in &other.path_stats {
-            let e = self.path_stats.entry(path.clone()).or_default();
             e.calls += s.calls;
             e.inclusive += s.inclusive;
             e.exclusive += s.exclusive;
@@ -101,78 +62,6 @@ impl Profile {
                 s.calls,
                 s.exclusive.as_secs_f64() * 1e3,
                 s.inclusive.as_secs_f64() * 1e3,
-            ));
-        }
-        out
-    }
-}
-
-/// Side-by-side comparison of two profiles (the Fig. 4 view: host CPU vs
-/// MIC native).
-#[derive(Debug, Clone)]
-pub struct ProfileCompare {
-    label_a: String,
-    label_b: String,
-    a: Profile,
-    b: Profile,
-}
-
-impl ProfileCompare {
-    /// Pair two profiles under display labels.
-    pub fn new(label_a: &str, a: Profile, label_b: &str, b: Profile) -> Self {
-        Self {
-            label_a: label_a.to_string(),
-            label_b: label_b.to_string(),
-            a,
-            b,
-        }
-    }
-
-    /// Rows: (region, exclusive_a, exclusive_b, ratio b/a), union of both
-    /// profiles, sorted by descending `exclusive_a`.
-    pub fn rows(&self) -> Vec<(&'static str, Duration, Duration, f64)> {
-        let mut names: Vec<&'static str> = self
-            .a
-            .regions()
-            .map(|(n, _)| n)
-            .chain(self.b.regions().map(|(n, _)| n))
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        let mut rows: Vec<_> = names
-            .into_iter()
-            .map(|n| {
-                let ta = self.a.get(n).map(|s| s.exclusive).unwrap_or_default();
-                let tb = self.b.get(n).map(|s| s.exclusive).unwrap_or_default();
-                let ratio = if ta.as_nanos() > 0 {
-                    tb.as_secs_f64() / ta.as_secs_f64()
-                } else {
-                    f64::INFINITY
-                };
-                (n, ta, tb, ratio)
-            })
-            .collect();
-        rows.sort_by_key(|&(_, ta, _, _)| std::cmp::Reverse(ta));
-        rows
-    }
-
-    /// Render the two-column comparison.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<32} {:>14} {:>14} {:>8}\n",
-            "region",
-            format!("{} (ms)", self.label_a),
-            format!("{} (ms)", self.label_b),
-            "ratio"
-        ));
-        for (name, ta, tb, ratio) in self.rows() {
-            out.push_str(&format!(
-                "{:<32} {:>14.3} {:>14.3} {:>8.3}\n",
-                name,
-                ta.as_secs_f64() * 1e3,
-                tb.as_secs_f64() * 1e3,
-                ratio
             ));
         }
         out
@@ -235,11 +124,7 @@ mod tests {
         let mut right = a.clone();
         right.merge(&bc);
 
-        let mut ls = left.snapshot();
-        let mut rs = right.snapshot();
-        ls.regions.sort_by(|x, y| x.0.cmp(&y.0));
-        rs.regions.sort_by(|x, y| x.0.cmp(&y.0));
-        assert_eq!(ls, rs);
+        assert_eq!(left, right);
         assert_eq!(left.get("geom").unwrap().calls, 2);
         assert_eq!(left.get("xs").unwrap().exclusive, Duration::from_millis(12));
     }
@@ -249,7 +134,7 @@ mod tests {
         let a = profile_with(&[("xs", 5, 10)]);
         let mut merged = a.clone();
         merged.merge(&Profile::default());
-        assert_eq!(merged.snapshot(), a.snapshot());
+        assert_eq!(merged, a);
     }
 
     #[test]
@@ -269,17 +154,6 @@ mod tests {
         }
         assert_eq!(v[0].0, "b");
         assert_eq!(v[3].0, "c");
-    }
-
-    #[test]
-    fn compare_rows_union_and_ratio() {
-        let a = profile_with(&[("xs", 100, 100), ("tally", 10, 10)]);
-        let b = profile_with(&[("xs", 50, 50), ("new_region", 5, 5)]);
-        let cmp = ProfileCompare::new("cpu", a, "mic", b);
-        let rows = cmp.rows();
-        assert_eq!(rows.len(), 3);
-        let xs = rows.iter().find(|r| r.0 == "xs").unwrap();
-        assert!((xs.3 - 0.5).abs() < 1e-9);
     }
 
     #[test]

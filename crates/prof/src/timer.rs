@@ -17,8 +17,6 @@ struct Frame {
 struct Inner {
     stack: Vec<Frame>,
     stats: HashMap<&'static str, RegionStats>,
-    /// TAU-style call-path statistics, keyed by "a => b => c".
-    path_stats: HashMap<String, RegionStats>,
 }
 
 /// A per-thread profiler. Create one per worker, instrument with
@@ -41,7 +39,6 @@ impl ThreadProfiler {
             inner: RefCell::new(Inner {
                 stack: Vec::with_capacity(8),
                 stats: HashMap::new(),
-                path_stats: HashMap::new(),
             }),
         }
     }
@@ -61,17 +58,6 @@ impl ThreadProfiler {
         RegionGuard { profiler: self }
     }
 
-    /// Record an already-measured duration against a region without timing
-    /// it here (used when a kernel's time comes from a device model rather
-    /// than a host clock).
-    pub fn record_external(&self, name: &'static str, elapsed: Duration) {
-        let mut inner = self.inner.borrow_mut();
-        let entry = inner.stats.entry(name).or_default();
-        entry.calls += 1;
-        entry.inclusive += elapsed;
-        entry.exclusive += elapsed;
-    }
-
     fn exit(&self) {
         let now = Instant::now();
         let mut inner = self.inner.borrow_mut();
@@ -85,17 +71,6 @@ impl ThreadProfiler {
         entry.calls += 1;
         entry.inclusive += elapsed;
         entry.exclusive += exclusive;
-        // Call-path attribution: "<ancestors> => <name>".
-        let mut path = String::new();
-        for f in &inner.stack {
-            path.push_str(f.name);
-            path.push_str(" => ");
-        }
-        path.push_str(frame.name);
-        let pe = inner.path_stats.entry(path).or_default();
-        pe.calls += 1;
-        pe.inclusive += elapsed;
-        pe.exclusive += exclusive;
         if let Some(parent) = inner.stack.last_mut() {
             parent.child_time += elapsed;
         }
@@ -111,7 +86,7 @@ impl ThreadProfiler {
             "ThreadProfiler::finish called with {} open region(s)",
             inner.stack.len()
         );
-        Profile::from_stats_with_paths(inner.stats, inner.path_stats)
+        Profile::from_stats(inner.stats)
     }
 }
 
@@ -134,7 +109,7 @@ mod tests {
     #[test]
     fn empty_profiler_finishes_empty() {
         let p = ThreadProfiler::new().finish();
-        assert!(p.regions().next().is_none());
+        assert_eq!(p, Profile::default());
     }
 
     #[test]
@@ -160,42 +135,9 @@ mod tests {
             }
         }
         let p = tp.finish();
-        for (_, s) in p.regions() {
+        for (_, s) in p.sorted_by_exclusive() {
             assert!(s.exclusive <= s.inclusive);
         }
-    }
-
-    #[test]
-    fn external_records_count_as_calls() {
-        let tp = ThreadProfiler::new();
-        tp.record_external("kernel", Duration::from_millis(7));
-        tp.record_external("kernel", Duration::from_millis(3));
-        let p = tp.finish();
-        let s = p.get("kernel").unwrap();
-        assert_eq!(s.calls, 2);
-        assert_eq!(s.inclusive, Duration::from_millis(10));
-    }
-
-    #[test]
-    fn call_paths_distinguish_contexts() {
-        // The same leaf region under two parents shows up as two paths.
-        let tp = ThreadProfiler::new();
-        {
-            let _a = tp.enter("transport");
-            let _x = tp.enter("calculate_xs");
-        }
-        {
-            let _b = tp.enter("source_sampling");
-            let _x = tp.enter("calculate_xs");
-        }
-        let p = tp.finish();
-        assert_eq!(p.get("calculate_xs").unwrap().calls, 2);
-        assert_eq!(p.path("transport => calculate_xs").unwrap().calls, 1);
-        assert_eq!(p.path("source_sampling => calculate_xs").unwrap().calls, 1);
-        assert!(p.path("nonexistent => path").is_none());
-        // Sorted paths include the roots.
-        let paths = p.sorted_paths();
-        assert!(paths.iter().any(|(k, _)| *k == "transport"));
     }
 
     #[test]

@@ -183,8 +183,8 @@ mod tests {
 
         #[test]
         fn ranges_stay_in_bounds(x in 1.0f64..2.0, n in 3usize..9, b in any::<bool>()) {
-            prop_assert!(x >= 1.0 && x < 2.0, "x={}", x);
-            prop_assert!(n >= 3 && n < 9);
+            prop_assert!((1.0..2.0).contains(&x), "x={}", x);
+            prop_assert!((3..9).contains(&n));
             let _ = b;
         }
 

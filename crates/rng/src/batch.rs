@@ -4,14 +4,12 @@
 //! The paper's optimized kernel pre-fills an `R[nstreams][N/nstreams]`
 //! array of uniforms, one independent stream per section, with each
 //! section filled by a different OpenMP thread. [`StreamPartition`]
-//! reproduces that structure: it owns `nstreams` Philox streams and hands
-//! out disjoint `(stream, section)` pairs, so a caller can fill the
-//! sections in parallel (e.g. with rayon) and the result is identical to a
-//! serial fill.
+//! reproduces that structure: it owns `nstreams` Philox streams, each
+//! filling one contiguous section of the buffer.
 
 use crate::lcg::Lcg63;
 use crate::philox::Philox4x32;
-use crate::{u32_to_open_f32, u64_to_open_f64};
+use crate::u32_to_open_f32;
 
 /// Advance a gathered batch of per-particle LCG streams by one draw each,
 /// writing the uniforms to `out` — the banked form of
@@ -75,26 +73,6 @@ pub fn fill_uniform_f32(stream: u64, counter0: u128, out: &mut [f32]) -> u128 {
     counter
 }
 
-/// Double-precision variant: 2 words per value, 2 values per block.
-pub fn fill_uniform_f64(stream: u64, counter0: u128, out: &mut [f64]) -> u128 {
-    let g = Philox4x32::with_counter(stream, 0);
-    let mut counter = counter0;
-    let mut chunks = out.chunks_exact_mut(2);
-    for chunk in &mut chunks {
-        let b = g.block_at(counter);
-        counter = counter.wrapping_add(1);
-        chunk[0] = u64_to_open_f64((b[0] as u64) | ((b[1] as u64) << 32));
-        chunk[1] = u64_to_open_f64((b[2] as u64) | ((b[3] as u64) << 32));
-    }
-    let rem = chunks.into_remainder();
-    if !rem.is_empty() {
-        let b = g.block_at(counter);
-        counter = counter.wrapping_add(1);
-        rem[0] = u64_to_open_f64((b[0] as u64) | ((b[1] as u64) << 32));
-    }
-    counter
-}
-
 /// A buffer-filling plan mirroring VSL's multi-stream usage: `nstreams`
 /// independent streams, each responsible for one contiguous section of the
 /// output buffer.
@@ -118,72 +96,13 @@ impl StreamPartition {
         }
     }
 
-    /// Number of streams.
-    #[inline]
-    pub fn nstreams(&self) -> usize {
-        self.nstreams
-    }
-
-    /// Split `out` into per-stream sections; section `k` belongs to stream
-    /// `k`. Sections differ in length by at most one element-rounding
-    /// chunk.
-    pub fn sections<'a>(&self, out: &'a mut [f32]) -> Vec<(usize, &'a mut [f32])> {
-        let n = out.len();
-        let per = n.div_ceil(self.nstreams);
-        out.chunks_mut(per.max(1)).enumerate().collect()
-    }
-
-    /// Fill the whole buffer serially (reference implementation).
+    /// Fill the whole buffer, section `k` from stream `k`.
     pub fn fill_f32(&mut self, out: &mut [f32]) {
         let per = out.len().div_ceil(self.nstreams).max(1);
         for (k, section) in out.chunks_mut(per).enumerate() {
             let stream = self.base_stream.wrapping_add(k as u64);
             self.counters[k] = fill_uniform_f32(stream, self.counters[k], section);
         }
-    }
-
-    /// Fill one section (for parallel callers that obtained sections via
-    /// [`StreamPartition::sections`]); returns the new counter, which the
-    /// caller must store back with [`StreamPartition::set_counter`].
-    pub fn fill_section(&self, k: usize, section: &mut [f32]) -> u128 {
-        let stream = self.base_stream.wrapping_add(k as u64);
-        fill_uniform_f32(stream, self.counters[k], section)
-    }
-
-    /// Store a counter returned by [`StreamPartition::fill_section`].
-    pub fn set_counter(&mut self, k: usize, counter: u128) {
-        self.counters[k] = counter;
-    }
-}
-
-/// Convenience: the "batched uniforms" abstraction used by the optimized
-/// Table-I kernels. Owns the buffer and refills it on demand.
-#[derive(Debug, Clone)]
-pub struct BatchUniform {
-    partition: StreamPartition,
-    buf: Vec<f32>,
-}
-
-impl BatchUniform {
-    /// Allocate a batch of `n` uniforms backed by `nstreams` streams.
-    pub fn new(base_stream: u64, nstreams: usize, n: usize) -> Self {
-        Self {
-            partition: StreamPartition::new(base_stream, nstreams),
-            buf: vec![0.0; n],
-        }
-    }
-
-    /// Refill the buffer with fresh uniforms.
-    pub fn refill(&mut self) {
-        let mut buf = std::mem::take(&mut self.buf);
-        self.partition.fill_f32(&mut buf);
-        self.buf = buf;
-    }
-
-    /// Current buffer contents.
-    #[inline]
-    pub fn as_slice(&self) -> &[f32] {
-        &self.buf
     }
 }
 
@@ -229,46 +148,19 @@ mod tests {
     }
 
     #[test]
-    fn fill_f64_deterministic_and_open() {
-        let mut a = vec![0.0f64; 513];
-        fill_uniform_f64(9, 0, &mut a);
-        assert!(a.iter().all(|&u| u > 0.0 && u < 1.0));
-        let mut b = vec![0.0f64; 513];
-        fill_uniform_f64(9, 0, &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn partition_serial_matches_sectionwise() {
-        let mut p1 = StreamPartition::new(100, 4);
-        let mut serial = vec![0.0f32; 1000];
-        p1.fill_f32(&mut serial);
-
-        let mut p2 = StreamPartition::new(100, 4);
-        let mut sectionwise = vec![0.0f32; 1000];
-        let mut new_counters = Vec::new();
-        for (k, section) in p2.sections(&mut sectionwise) {
-            new_counters.push((k, p2.fill_section(k, section)));
-        }
-        for (k, c) in new_counters {
-            p2.set_counter(k, c);
-        }
-        assert_eq!(serial, sectionwise);
-    }
-
-    #[test]
-    fn successive_refills_differ() {
-        let mut b = BatchUniform::new(1, 2, 256);
-        b.refill();
-        let first = b.as_slice().to_vec();
-        b.refill();
-        assert_ne!(first, b.as_slice());
+    fn successive_fills_differ() {
+        let mut p = StreamPartition::new(1, 2);
+        let mut buf = vec![0.0f32; 256];
+        p.fill_f32(&mut buf);
+        let first = buf.clone();
+        p.fill_f32(&mut buf);
+        assert_ne!(first, buf);
     }
 
     #[test]
     fn batch_values_open_interval() {
-        let mut b = BatchUniform::new(77, 8, 4096);
-        b.refill();
-        assert!(b.as_slice().iter().all(|&u| u > 0.0 && u < 1.0));
+        let mut buf = vec![0.0f32; 4096];
+        StreamPartition::new(77, 8).fill_f32(&mut buf);
+        assert!(buf.iter().all(|&u| u > 0.0 && u < 1.0));
     }
 }

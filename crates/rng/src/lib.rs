@@ -38,7 +38,7 @@ pub mod lcg;
 pub mod naive;
 pub mod philox;
 
-pub use batch::{BatchUniform, StreamPartition};
+pub use batch::StreamPartition;
 pub use lcg::Lcg63;
 pub use naive::NaiveRandR;
 pub use philox::Philox4x32;

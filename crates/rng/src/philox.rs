@@ -232,11 +232,7 @@ mod tests {
                     ],
                     key,
                 );
-                assert_eq!(
-                    [lanes[0][l], lanes[1][l], lanes[2][l], lanes[3][l]],
-                    want,
-                    "base={base} lane={l}"
-                );
+                assert_eq!(lanes.map(|word| word[l]), want, "base={base} lane={l}");
             }
         }
     }

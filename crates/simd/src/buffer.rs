@@ -91,15 +91,6 @@ macro_rules! impl_avec {
                     }
                 }
             }
-
-            /// Iterate full vector-width chunks; the remainder (if the
-            /// length is not a multiple of the lane count) is not visited.
-            #[inline]
-            pub fn chunks_vec(&self) -> impl Iterator<Item = $block> + '_ {
-                self.as_slice()
-                    .chunks_exact($lanes)
-                    .map(<$block>::from_slice)
-            }
         }
 
         impl std::ops::Index<usize> for $name {
@@ -178,14 +169,6 @@ mod tests {
         v.resize(10, 0.0); // shrink within a block; stale 9.0s remain hidden
         v.resize(20, 5.0); // regrow must not expose them
         assert!(v.as_slice()[10..].iter().all(|&x| x == 5.0));
-    }
-
-    #[test]
-    fn chunked_iteration_skips_remainder() {
-        let v = AVec32::from_slice(&(0..35).map(|i| i as f32).collect::<Vec<_>>());
-        let chunks: Vec<_> = v.chunks_vec().collect();
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[1][0], 16.0);
     }
 
     #[test]

@@ -35,4 +35,4 @@ pub mod math;
 pub mod vector;
 
 pub use buffer::{AVec32, AVec64};
-pub use vector::{F32x16, F64x8, Mask16, Mask8};
+pub use vector::{F32x16, F64x8};

@@ -18,16 +18,8 @@ pub struct F32x16(pub [f32; 16]);
 #[repr(C, align(64))]
 pub struct F64x8(pub [f64; 8]);
 
-/// Lane mask for [`F32x16`]: bit `i` set means lane `i` selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Mask16(pub u16);
-
-/// Lane mask for [`F64x8`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Mask8(pub u8);
-
 macro_rules! impl_vector {
-    ($name:ident, $elem:ty, $lanes:expr, $mask:ident, $mask_repr:ty) => {
+    ($name:ident, $elem:ty, $lanes:expr) => {
         impl $name {
             /// Number of lanes.
             pub const LANES: usize = $lanes;
@@ -113,16 +105,6 @@ macro_rules! impl_vector {
                 Self(out)
             }
 
-            /// Lane-wise reciprocal.
-            #[inline(always)]
-            pub fn recip(self) -> Self {
-                let mut out = [0.0; $lanes];
-                for i in 0..$lanes {
-                    out[i] = 1.0 / self.0[i];
-                }
-                Self(out)
-            }
-
             /// Horizontal sum of all lanes (`_mm512_reduce_add_*`).
             #[inline(always)]
             pub fn reduce_sum(self) -> $elem {
@@ -139,56 +121,6 @@ macro_rules! impl_vector {
                 acc[0]
             }
 
-            /// Horizontal minimum of all lanes.
-            #[inline(always)]
-            pub fn reduce_min(self) -> $elem {
-                self.0.iter().copied().fold(<$elem>::INFINITY, <$elem>::min)
-            }
-
-            /// Horizontal maximum of all lanes.
-            #[inline(always)]
-            pub fn reduce_max(self) -> $elem {
-                self.0
-                    .iter()
-                    .copied()
-                    .fold(<$elem>::NEG_INFINITY, <$elem>::max)
-            }
-
-            /// Lane-wise `<` comparison producing a mask.
-            #[inline(always)]
-            pub fn lt(self, other: Self) -> $mask {
-                let mut m: $mask_repr = 0;
-                for i in 0..$lanes {
-                    m |= ((self.0[i] < other.0[i]) as $mask_repr) << i;
-                }
-                $mask(m)
-            }
-
-            /// Lane-wise `<=` comparison producing a mask.
-            #[inline(always)]
-            pub fn le(self, other: Self) -> $mask {
-                let mut m: $mask_repr = 0;
-                for i in 0..$lanes {
-                    m |= ((self.0[i] <= other.0[i]) as $mask_repr) << i;
-                }
-                $mask(m)
-            }
-
-            /// Blend: lane `i` comes from `if_true` where the mask bit is
-            /// set, otherwise from `if_false` (`_mm512_mask_blend_*`).
-            #[inline(always)]
-            pub fn select(mask: $mask, if_true: Self, if_false: Self) -> Self {
-                let mut out = [0.0; $lanes];
-                for i in 0..$lanes {
-                    out[i] = if mask.0 >> i & 1 == 1 {
-                        if_true.0[i]
-                    } else {
-                        if_false.0[i]
-                    };
-                }
-                Self(out)
-            }
-
             /// Gather lanes from `table` at `idx` (`_mm512_i32gather_*`).
             #[inline(always)]
             pub fn gather(table: &[$elem], idx: [u32; $lanes]) -> Self {
@@ -197,56 +129,6 @@ macro_rules! impl_vector {
                     out[i] = table[idx[i] as usize];
                 }
                 Self(out)
-            }
-        }
-
-        impl $mask {
-            /// Mask with no lanes set.
-            pub const NONE: Self = Self(0);
-            /// Mask with all lanes set.
-            pub const ALL: Self = Self(!0 >> (<$mask_repr>::BITS as usize - $lanes));
-
-            /// True if any lane is set.
-            #[inline(always)]
-            pub fn any(self) -> bool {
-                self.0 != 0
-            }
-
-            /// True if all lanes are set.
-            #[inline(always)]
-            pub fn all(self) -> bool {
-                self == Self::ALL
-            }
-
-            /// Number of set lanes.
-            #[inline(always)]
-            pub fn count(self) -> u32 {
-                self.0.count_ones()
-            }
-
-            /// Whether lane `i` is set.
-            #[inline(always)]
-            pub fn test(self, i: usize) -> bool {
-                self.0 >> i & 1 == 1
-            }
-
-            /// Lane-wise negation.
-            #[inline(always)]
-            #[allow(clippy::should_implement_trait)] // mirrors the `knot` mask intrinsic
-            pub fn not(self) -> Self {
-                Self(!self.0 & Self::ALL.0)
-            }
-
-            /// Lane-wise AND.
-            #[inline(always)]
-            pub fn and(self, other: Self) -> Self {
-                Self(self.0 & other.0)
-            }
-
-            /// Lane-wise OR.
-            #[inline(always)]
-            pub fn or(self, other: Self) -> Self {
-                Self(self.0 | other.0)
             }
         }
 
@@ -354,8 +236,8 @@ macro_rules! impl_vector {
     };
 }
 
-impl_vector!(F32x16, f32, 16, Mask16, u16);
-impl_vector!(F64x8, f64, 8, Mask8, u8);
+impl_vector!(F32x16, f32, 16);
+impl_vector!(F64x8, f64, 8);
 
 #[cfg(test)]
 mod tests {
@@ -403,34 +285,12 @@ mod tests {
     fn reductions() {
         let a = seq16();
         assert_eq!(a.reduce_sum(), 136.0); // 1+..+16
-        assert_eq!(a.reduce_min(), 1.0);
-        assert_eq!(a.reduce_max(), 16.0);
     }
 
     #[test]
     fn reduce_sum_f64() {
         let a = F64x8([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         assert_eq!(a.reduce_sum(), 36.0);
-    }
-
-    #[test]
-    fn masks_and_select() {
-        let a = seq16();
-        let b = F32x16::splat(8.5);
-        let m = a.lt(b); // lanes 0..=7 set
-        assert_eq!(m.count(), 8);
-        assert!(m.test(0) && m.test(7) && !m.test(8));
-        let sel = F32x16::select(m, F32x16::splat(1.0), F32x16::splat(0.0));
-        assert_eq!(sel.reduce_sum(), 8.0);
-        assert!(m.or(m.not()).all());
-        assert!(!m.and(m.not()).any());
-    }
-
-    #[test]
-    fn le_vs_lt_on_equal_lanes() {
-        let a = F32x16::splat(2.0);
-        assert_eq!(a.lt(a), Mask16::NONE);
-        assert!(a.le(a).all());
     }
 
     #[test]
@@ -455,19 +315,12 @@ mod tests {
     }
 
     #[test]
-    fn min_max_abs_sqrt_recip() {
+    fn min_max_abs_sqrt() {
         let a = F32x16::splat(-4.0);
         let b = F32x16::splat(9.0);
         assert_eq!(a.min(b)[0], -4.0);
         assert_eq!(a.max(b)[0], 9.0);
         assert_eq!(a.abs()[0], 4.0);
         assert_eq!(b.sqrt()[0], 3.0);
-        assert_eq!(b.recip()[0], 1.0 / 9.0);
-    }
-
-    #[test]
-    fn mask_all_constant_is_correct_width() {
-        assert_eq!(Mask16::ALL.0, 0xffff);
-        assert_eq!(Mask8::ALL.0, 0xff);
     }
 }

@@ -96,13 +96,6 @@ impl HashGrid {
         (t as isize).clamp(0, self.n_bins as isize - 1) as usize
     }
 
-    /// The stored per-nuclide starting bounds for bin `b` (length
-    /// `n_nuclides`).
-    #[inline]
-    pub fn bounds_row(&self, b: usize) -> &[u32] {
-        &self.bounds[b * self.n_nuclides..(b + 1) * self.n_nuclides]
-    }
-
     /// Resolve the interval index of `e` inside nuclide `k`'s energy
     /// segment `seg`, starting the scan from bin `b`'s stored bound.
     ///
@@ -150,6 +143,11 @@ mod tests {
     use crate::grid::lower_bound_index;
     use crate::nuclide::NuclideSpec;
 
+    /// The stored per-nuclide starting bounds for bin `b`.
+    fn bounds_row(h: &HashGrid, b: usize) -> &[u32] {
+        &h.bounds[b * h.n_nuclides..(b + 1) * h.n_nuclides]
+    }
+
     fn small_set() -> Vec<Nuclide> {
         vec![
             Nuclide::synthesize(&NuclideSpec::heavy("A", 230.0, false, 11)),
@@ -193,7 +191,7 @@ mod tests {
         let h = HashGrid::build(&nucs, 256);
         for b in 0..h.n_bins() {
             for (k, n) in nucs.iter().enumerate() {
-                let bound = h.bounds_row(b)[k] as usize;
+                let bound = bounds_row(&h, b)[k] as usize;
                 assert!(bound <= n.energy.len().saturating_sub(2), "b={b} k={k}");
             }
         }
@@ -205,7 +203,7 @@ mod tests {
         let h = HashGrid::build(&nucs, 128);
         for k in 0..nucs.len() {
             for b in 1..h.n_bins() {
-                assert!(h.bounds_row(b)[k] >= h.bounds_row(b - 1)[k]);
+                assert!(bounds_row(&h, b)[k] >= bounds_row(&h, b - 1)[k]);
             }
         }
     }
@@ -229,7 +227,7 @@ mod tests {
         let h = HashGrid::build(&nucs, 32);
         let steps = Cell::new(0u64);
         for b in 0..h.n_bins() {
-            assert_eq!(h.bounds_row(b)[3], 0);
+            assert_eq!(bounds_row(&h, b)[3], 0);
         }
         assert_eq!(h.find_in_segment(5, 3, &[1.0e-6], 1.0, &steps), 0);
         assert_eq!(steps.get(), 0);
@@ -242,7 +240,7 @@ mod tests {
         let twin = vec![nucs[0].clone(), nucs[0].clone()];
         let h = HashGrid::build(&twin, 64);
         for b in 0..h.n_bins() {
-            let row = h.bounds_row(b);
+            let row = bounds_row(&h, b);
             assert_eq!(row[0], row[1]);
         }
     }

@@ -71,12 +71,6 @@ impl AosLibrary {
         Self { offsets, points }
     }
 
-    /// Nuclide `k`'s points.
-    #[inline]
-    pub fn nuclide_points(&self, k: usize) -> &[GridPoint] {
-        &self.points[self.offsets[k] as usize..self.offsets[k + 1] as usize]
-    }
-
     /// Size of the flattened data in bytes.
     pub fn data_bytes(&self) -> usize {
         self.points.len() * std::mem::size_of::<GridPoint>()
@@ -165,7 +159,7 @@ mod tests {
         let l = lib();
         let aos = AosLibrary::build(&l);
         for (k, n) in l.nuclides.iter().enumerate() {
-            let pts = aos.nuclide_points(k);
+            let pts = &aos.points[aos.offsets[k] as usize..aos.offsets[k + 1] as usize];
             assert_eq!(pts.len(), n.n_points());
             assert_eq!(pts[0].energy, n.energy[0]);
             let last = pts.len() - 1;

@@ -151,30 +151,6 @@ impl UrrTable {
         }
         self.factors[ie * self.n_bands + b]
     }
-
-    /// Probability-weighted mean factors at `e` (used to verify
-    /// unbiasedness and by the deterministic vector path).
-    pub fn mean_factors(&self, e: f64) -> UrrFactors {
-        if !self.in_range(e) {
-            return UrrFactors::UNIT;
-        }
-        let ie = crate::grid::lower_bound_index(&self.energy, e);
-        let mut acc = UrrFactors {
-            elastic: 0.0,
-            capture: 0.0,
-            fission: 0.0,
-        };
-        let mut prev = 0.0;
-        for b in 0..self.n_bands {
-            let i = ie * self.n_bands + b;
-            let p = self.cdf[i] - prev;
-            prev = self.cdf[i];
-            acc.elastic += p * self.factors[i].elastic;
-            acc.capture += p * self.factors[i].capture;
-            acc.fission += p * self.factors[i].fission;
-        }
-        acc
-    }
 }
 
 #[cfg(test)]
@@ -202,12 +178,21 @@ mod tests {
 
     #[test]
     fn factors_are_mean_one() {
+        // Probability-weighted mean of the band factors at one energy.
         let t = UrrTable::synthesize(3, 8);
-        let e = 5.0e-3;
-        let m = t.mean_factors(e);
-        assert!((m.elastic - 1.0).abs() < 1e-12);
-        assert!((m.capture - 1.0).abs() < 1e-12);
-        assert!((m.fission - 1.0).abs() < 1e-12);
+        let ie = crate::grid::lower_bound_index(&t.energy, 5.0e-3);
+        let (mut elastic, mut capture, mut fission) = (0.0, 0.0, 0.0);
+        let mut prev = 0.0;
+        for i in ie * t.n_bands..(ie + 1) * t.n_bands {
+            let p = t.cdf[i] - prev;
+            prev = t.cdf[i];
+            elastic += p * t.factors[i].elastic;
+            capture += p * t.factors[i].capture;
+            fission += p * t.factors[i].fission;
+        }
+        assert!((elastic - 1.0).abs() < 1e-12);
+        assert!((capture - 1.0).abs() < 1e-12);
+        assert!((fission - 1.0).abs() < 1e-12);
     }
 
     #[test]
