@@ -1,10 +1,10 @@
 //! `mcs-bench trend`: the perf-trajectory gate.
 //!
-//! Ingests `results/BENCH_*.json` + `check_report.json`, appends one
-//! [`TrendRecord`](mcs_bench::trend::TrendRecord) to the per-leg
+//! Ingests the `BENCH_*.json` files of one results directory, appends
+//! one [`TrendRecord`](mcs_bench::trend::TrendRecord) to the per-leg
 //! JSONL history, classifies every metric against the trailing median
-//! baseline, writes `trend_report.json`, and exits non-zero on a
-//! sustained regression.
+//! baseline, writes `trend_report.json` into the results directory, and
+//! exits non-zero on a sustained regression.
 //!
 //! Exit codes: `0` gate passed, `1` gate failed (sustained regression
 //! beyond tolerance), `2` the run itself failed (corrupt history,
@@ -12,22 +12,17 @@
 //!
 //! ```text
 //! trend [--results-dir DIR] [--history-dir DIR] [--leg TAG]
-//!       [--commit SHA] [--timestamp SECS] [--rate-tol PCT]
-//!       [--counter-tol PCT] [--sustain N] [--max-keep N]
-//!       [--report FILE] [--dry-run]
+//!       [--commit SHA] [--dry-run]
 //! ```
 //!
-//! Environment fallbacks: `MCS_RESULTS_DIR`, `MCS_TREND_DIR`,
-//! `MCS_TREND_LEG`, `MCS_TREND_TIMESTAMP`, `GITHUB_SHA`.
+//! Defaults: `--results-dir` is `MCS_RESULTS_DIR` or `results/`,
+//! `--history-dir` is `<results-dir>/trend`, `--leg` is `local`, and
+//! `--commit` is `GITHUB_SHA` or `git rev-parse HEAD`.
 
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 
 use mcs_bench::trend::{self, TrendOptions, TrendOutcome};
-
-fn env_or(key: &str, default: &str) -> String {
-    std::env::var(key).unwrap_or_else(|_| default.to_string())
-}
 
 /// Best-effort commit id: `--commit` > `GITHUB_SHA` > `git rev-parse`.
 fn detect_commit() -> String {
@@ -46,37 +41,23 @@ fn detect_commit() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-fn detect_timestamp() -> u64 {
-    if let Ok(t) = std::env::var("MCS_TREND_TIMESTAMP") {
-        if let Ok(t) = t.parse() {
-            return t;
-        }
-    }
+fn now() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0)
 }
 
-struct Cli {
-    opts: TrendOptions,
-    report_path: PathBuf,
-}
-
 fn usage() -> ! {
     eprintln!(
-        "usage: trend [--results-dir DIR] [--history-dir DIR] [--leg TAG] [--commit SHA]\n\
-         \x20            [--timestamp SECS] [--rate-tol PCT] [--counter-tol PCT] [--sustain N]\n\
-         \x20            [--max-keep N] [--report FILE] [--dry-run]"
+        "usage: trend [--results-dir DIR] [--history-dir DIR] [--leg TAG] [--commit SHA] [--dry-run]"
     );
     std::process::exit(2);
 }
 
-fn parse_cli() -> Cli {
+fn parse_cli() -> TrendOptions {
     let mut opts = TrendOptions::new(mcs_bench::results_dir(), PathBuf::new());
-    let mut history_dir: Option<PathBuf> = std::env::var("MCS_TREND_DIR").ok().map(PathBuf::from);
-    let mut report_path: Option<PathBuf> = None;
-    opts.leg = env_or("MCS_TREND_LEG", "local");
+    let mut history_dir: Option<PathBuf> = None;
     opts.commit = String::new();
 
     let mut args = std::env::args().skip(1);
@@ -92,27 +73,6 @@ fn parse_cli() -> Cli {
             "--history-dir" => history_dir = Some(PathBuf::from(value("--history-dir"))),
             "--leg" => opts.leg = value("--leg"),
             "--commit" => opts.commit = value("--commit"),
-            "--timestamp" => match value("--timestamp").parse() {
-                Ok(t) => opts.timestamp = t,
-                Err(_) => usage(),
-            },
-            "--rate-tol" => match value("--rate-tol").parse() {
-                Ok(t) => opts.tolerances.rate_pct = t,
-                Err(_) => usage(),
-            },
-            "--counter-tol" => match value("--counter-tol").parse() {
-                Ok(t) => opts.tolerances.counter_pct = t,
-                Err(_) => usage(),
-            },
-            "--sustain" => match value("--sustain").parse() {
-                Ok(n) => opts.tolerances.sustain = n,
-                Err(_) => usage(),
-            },
-            "--max-keep" => match value("--max-keep").parse() {
-                Ok(n) => opts.max_keep = n,
-                Err(_) => usage(),
-            },
-            "--report" => report_path = Some(PathBuf::from(value("--report"))),
             "--dry-run" => opts.append = false,
             "--help" | "-h" => usage(),
             other => {
@@ -125,13 +85,8 @@ fn parse_cli() -> Cli {
     if opts.commit.is_empty() {
         opts.commit = detect_commit();
     }
-    if opts.timestamp == 0 {
-        opts.timestamp = detect_timestamp();
-    }
-    Cli {
-        report_path: report_path.unwrap_or_else(|| opts.results_dir.join("trend_report.json")),
-        opts,
-    }
+    opts.timestamp = now();
+    opts
 }
 
 fn print_summary(out: &TrendOutcome) {
@@ -210,31 +165,26 @@ fn print_summary(out: &TrendOutcome) {
 }
 
 fn main() -> ExitCode {
-    let cli = parse_cli();
-    let out = match trend::run(&cli.opts) {
+    let opts = parse_cli();
+    let report_path = opts.results_dir.join("trend_report.json");
+    let out = match trend::run(&opts) {
         Ok(out) => out,
         Err(e) => {
             eprintln!("trend: error: {e}");
             return ExitCode::from(2);
         }
     };
-    if let Some(parent) = cli.report_path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
     let written = out
         .report
         .to_json()
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-        .and_then(|json| std::fs::write(&cli.report_path, json));
+        .and_then(|json| std::fs::write(&report_path, json));
     if let Err(e) = written {
-        eprintln!(
-            "trend: error: cannot write {}: {e}",
-            cli.report_path.display()
-        );
+        eprintln!("trend: error: cannot write {}: {e}", report_path.display());
         return ExitCode::from(2);
     }
     print_summary(&out);
-    println!("[json] wrote {}", cli.report_path.display());
+    println!("[json] wrote {}", report_path.display());
     if out.report.gate_passed() {
         ExitCode::SUCCESS
     } else {

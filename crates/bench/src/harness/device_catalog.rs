@@ -19,10 +19,12 @@
 //!   `MachineSpec` constructors.
 
 use mcs_cluster::DistributedPolicy;
-use mcs_core::engine::{self, transport_batch, BatchRequest, ModelSpec, RunPlan, Serial, Threaded};
+use mcs_core::engine::{
+    self, transport_batch, Algorithm, BatchRequest, ModelSpec, RunPlan, Serial, Threaded,
+};
 use mcs_core::history::batch_streams;
 use mcs_device::catalog::{self, DeviceSpec};
-use mcs_device::native::{shape_of, TransportKind};
+use mcs_device::native::shape_of;
 use mcs_device::symmetric::SymmetricModel;
 use mcs_device::MachineSpec;
 
@@ -145,10 +147,7 @@ fn device_row(model: &'static str, dev: &DeviceSpec, rate: f64, host_rate: f64) 
         model,
         id: dev.id,
         class: dev.class.name(),
-        transport: match dev.default_transport() {
-            TransportKind::HistoryScalar => "history",
-            TransportKind::EventBanked => "event",
-        },
+        transport: dev.default_transport().keyword(),
         rate,
         alpha_vs_host: host_rate / rate,
         calibration_ratio: dev.calibration_ratio(),
@@ -284,8 +283,7 @@ pub fn run(scale: f64, verbose: bool) -> DeviceCatalogResult {
         .iter()
         .map(|id| catalog::device(id).expect("hetero mix entry"))
         .collect();
-    let mut hetero =
-        DistributedPolicy::new(mix.len()).with_devices(&mix, TransportKind::HistoryScalar);
+    let mut hetero = DistributedPolicy::new(mix.len()).with_devices(&mix, Algorithm::History);
     let hetero_bits: Vec<u64> = engine::run_with_problem(&det_problem, &det_plan, &mut hetero)
         .into_eigenvalue()
         .result
@@ -302,7 +300,7 @@ pub fn run(scale: f64, verbose: bool) -> DeviceCatalogResult {
     );
 
     // Leg 3b: legacy entries still ARE the historic machines.
-    let counts = catalog::reference_particle_counts(TransportKind::HistoryScalar);
+    let counts = catalog::reference_particle_counts(Algorithm::History);
     let legacy_exact = [
         ("host-e5-2687w", MachineSpec::host_e5_2687w()),
         ("knc-7120a", MachineSpec::mic_7120a()),
@@ -319,7 +317,7 @@ pub fn run(scale: f64, verbose: bool) -> DeviceCatalogResult {
     );
 
     // Table III generalized: α-balancing the hetero mix.
-    let sym = SymmetricModel::from_devices(&mix, TransportKind::HistoryScalar);
+    let sym = SymmetricModel::from_devices(&mix, Algorithm::History);
     let n_total = 100_000;
     let balanced_gain = sym.balanced_rate(n_total) / sym.original_rate(n_total).max(1e-12);
     vprintln!(

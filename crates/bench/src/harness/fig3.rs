@@ -14,11 +14,11 @@
 //! Generation time and the material mix are derived from a real measured
 //! transport run; per-operation times are modeled.
 
-use mcs_core::engine::{transport_batch, BatchRequest, Threaded};
+use mcs_core::engine::{transport_batch, Algorithm, BatchRequest, Threaded};
 use mcs_core::history::batch_streams;
 use mcs_core::problem::{HmModel, Problem, ProblemConfig};
 use mcs_device::catalog;
-use mcs_device::native::{shape_of, NativeModel, TransportKind};
+use mcs_device::native::{shape_of, NativeModel};
 use mcs_device::OffloadModel;
 
 use super::{check, vprintln, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table};
@@ -121,7 +121,7 @@ pub fn run(scale: f64, verbose: bool) -> Fig3Result {
     );
 
     let host_dev = catalog::device("host-e5-2687w").expect("default host");
-    let host = NativeModel::new(host_dev.machine, TransportKind::HistoryScalar);
+    let host = NativeModel::new(host_dev.machine, Algorithm::History);
     let offload =
         OffloadModel::between(&host_dev, &catalog::device("knc-7120a").expect("knc entry"));
     let grid_bytes = (problem.xs.index_bytes() + problem.xs.data_bytes()) as f64;

@@ -7,11 +7,11 @@
 //! both machines, the MIC beats the CPU on exactly those bottleneck
 //! routines, and the total is ≈1.5–1.6× faster on the MIC.
 
-use mcs_core::engine::{transport_batch, BatchRequest, Threaded};
+use mcs_core::engine::{transport_batch, Algorithm, BatchRequest, Threaded};
 use mcs_core::history::batch_streams;
 use mcs_core::problem::{HmModel, Problem, ProblemConfig};
 use mcs_device::catalog;
-use mcs_device::native::{shape_of, NativeModel, TransportKind};
+use mcs_device::native::{shape_of, NativeModel};
 use mcs_prof::{Profile, ThreadProfiler};
 
 use super::{check, holds, vprintln, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table};
@@ -106,11 +106,8 @@ pub fn run(scale: f64, verbose: bool) -> Fig4Result {
 
     // MODELED comparison: price the instrumented counts on both machines.
     let shape = shape_of(&problem);
-    let host_model = NativeModel::new(
-        catalog::machine("host-e5-2687w"),
-        TransportKind::HistoryScalar,
-    );
-    let mic_model = NativeModel::new(catalog::machine("knc-7120a"), TransportKind::HistoryScalar);
+    let host_model = NativeModel::new(catalog::machine("host-e5-2687w"), Algorithm::History);
+    let mic_model = NativeModel::new(catalog::machine("knc-7120a"), Algorithm::History);
     let host_prof = host_model.profile_breakdown(&shape, &out.tallies);
     let mic_prof = mic_model.profile_breakdown(&shape, &out.tallies);
 

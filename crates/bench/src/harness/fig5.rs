@@ -7,11 +7,11 @@
 //! Checks: MIC ≈ 1.5–2× the CPU above 10⁴ particles, consistent
 //! α_i/α_a ≈ 0.61–0.62, and collapsing rates at small batch sizes.
 
-use mcs_core::engine::{self, transport_batch, BatchRequest, RunPlan, Threaded};
+use mcs_core::engine::{self, transport_batch, Algorithm, BatchRequest, RunPlan, Threaded};
 use mcs_core::history::batch_streams;
 use mcs_core::problem::{HmModel, Problem, ProblemConfig};
 use mcs_device::catalog;
-use mcs_device::native::{shape_of, NativeModel, TransportKind};
+use mcs_device::native::{shape_of, NativeModel};
 
 use super::{check, vprintln, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table};
 use crate::scaled_by;
@@ -104,11 +104,8 @@ pub fn score(r: &Fig5Result) -> Vec<CheckOutcome> {
 pub fn run(scale: f64, verbose: bool) -> Fig5Result {
     let problem = Problem::hm(HmModel::Large, &ProblemConfig::default());
     let shape = shape_of(&problem);
-    let host = NativeModel::new(
-        catalog::machine("host-e5-2687w"),
-        TransportKind::HistoryScalar,
-    );
-    let mic = NativeModel::new(catalog::machine("knc-7120a"), TransportKind::HistoryScalar);
+    let host = NativeModel::new(catalog::machine("host-e5-2687w"), Algorithm::History);
+    let mic = NativeModel::new(catalog::machine("knc-7120a"), Algorithm::History);
 
     let mut rows = Vec::new();
     let mut table = Table::new(

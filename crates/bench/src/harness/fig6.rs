@@ -9,11 +9,11 @@
 //! 2-MIC curve stopping at 384 nodes (Stampede's partition size).
 
 use mcs_cluster::{strong_scaling, CommModel, NodeSpec, ScalingPoint};
-use mcs_core::engine::{transport_batch, BatchRequest, Threaded};
+use mcs_core::engine::{transport_batch, Algorithm, BatchRequest, Threaded};
 use mcs_core::history::batch_streams;
 use mcs_core::problem::{HmModel, Problem, ProblemConfig};
 use mcs_device::catalog;
-use mcs_device::native::{shape_of, NativeModel, TransportKind};
+use mcs_device::native::{shape_of, NativeModel};
 
 use super::{check, vprintln, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table};
 use crate::scaled_by;
@@ -85,11 +85,8 @@ pub(super) fn stampede_rates(scale: f64) -> (f64, f64) {
     )
     .outcome;
     let t = out.tallies.scaled_to(100_000);
-    let cpu = NativeModel::new(
-        catalog::machine("host-e5-2680"),
-        TransportKind::HistoryScalar,
-    );
-    let mic = NativeModel::new(catalog::machine("knc-se10p"), TransportKind::HistoryScalar);
+    let cpu = NativeModel::new(catalog::machine("host-e5-2680"), Algorithm::History);
+    let mic = NativeModel::new(catalog::machine("knc-se10p"), Algorithm::History);
     (cpu.calc_rate(&shape, &t), mic.calc_rate(&shape, &t))
 }
 

@@ -12,11 +12,11 @@
 
 use mcs_cluster::adaptive::{simulate_adaptive, static_alpha_wall};
 use mcs_cluster::Rank;
-use mcs_core::engine::{transport_batch, BatchRequest, Threaded};
+use mcs_core::engine::{transport_batch, Algorithm, BatchRequest, Threaded};
 use mcs_core::history::batch_streams;
 use mcs_core::problem::{HmModel, Problem, ProblemConfig};
 use mcs_device::catalog;
-use mcs_device::native::{shape_of, NativeModel, TransportKind};
+use mcs_device::native::{shape_of, NativeModel};
 use mcs_device::power::batch_energy;
 
 use super::{check, holds, vprintln, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table};
@@ -116,11 +116,8 @@ pub fn run(scale: f64, verbose: bool) -> FutureworkResult {
     .outcome;
     let t = out.tallies.scaled_to(100_000);
 
-    let cpu = NativeModel::new(
-        catalog::machine("host-e5-2687w"),
-        TransportKind::HistoryScalar,
-    );
-    let mic = NativeModel::new(catalog::machine("knc-7120a"), TransportKind::HistoryScalar);
+    let cpu = NativeModel::new(catalog::machine("host-e5-2687w"), Algorithm::History);
+    let mic = NativeModel::new(catalog::machine("knc-7120a"), Algorithm::History);
     let r_cpu = cpu.calc_rate(&shape, &t);
     let r_mic = mic.calc_rate(&shape, &t);
 
@@ -152,14 +149,8 @@ pub fn run(scale: f64, verbose: bool) -> FutureworkResult {
         verbose,
         "\n[2] Knights Landing projection (socketed, OOO, MCDRAM):"
     );
-    let knl = NativeModel::new(
-        catalog::machine("knl-projection"),
-        TransportKind::HistoryScalar,
-    );
-    let knl_banked = NativeModel::new(
-        catalog::machine("knl-projection"),
-        TransportKind::EventBanked,
-    );
+    let knl = NativeModel::new(catalog::machine("knl-projection"), Algorithm::History);
+    let knl_banked = NativeModel::new(catalog::machine("knl-projection"), Algorithm::EventBanking);
     let r_knl = knl.calc_rate(&shape, &t);
     let r_knl_banked = knl_banked.calc_rate(&shape, &t);
     vprintln!(verbose, "  KNC native rate:            {r_mic:>10.0} n/s");

@@ -5,11 +5,11 @@
 //! Rank rates come from the native models priced on a real measured
 //! transport run; the symmetric-mode arithmetic is then exact.
 
-use mcs_core::engine::{transport_batch, BatchRequest, Threaded};
+use mcs_core::engine::{transport_batch, Algorithm, BatchRequest, Threaded};
 use mcs_core::history::batch_streams;
 use mcs_core::problem::{HmModel, Problem, ProblemConfig};
 use mcs_device::catalog;
-use mcs_device::native::{shape_of, NativeModel, TransportKind};
+use mcs_device::native::{shape_of, NativeModel};
 use mcs_device::SymmetricModel;
 
 use super::{check, vprintln, Band, CheckOutcome, Column, Fmt, Harness, HarnessRun, Table, Value};
@@ -143,11 +143,8 @@ pub fn run(scale: f64, verbose: bool) -> Table3Result {
     .outcome;
     let t = out.tallies.scaled_to(100_000);
 
-    let host = NativeModel::new(
-        catalog::machine("host-e5-2687w"),
-        TransportKind::HistoryScalar,
-    );
-    let mic = NativeModel::new(catalog::machine("knc-7120a"), TransportKind::HistoryScalar);
+    let host = NativeModel::new(catalog::machine("host-e5-2687w"), Algorithm::History);
+    let mic = NativeModel::new(catalog::machine("knc-7120a"), Algorithm::History);
     let r_cpu = host.calc_rate(&shape, &t);
     let r_mic = mic.calc_rate(&shape, &t);
     let alpha = r_cpu / r_mic;

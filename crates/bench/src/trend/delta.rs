@@ -41,15 +41,12 @@ pub struct Tolerances {
     pub sustain: usize,
 }
 
-impl Default for Tolerances {
-    fn default() -> Self {
-        Tolerances {
-            rate_pct: 15.0,
-            counter_pct: 10.0,
-            sustain: 2,
-        }
-    }
-}
+/// The tolerances the gate runs with.
+pub const TOLERANCES: Tolerances = Tolerances {
+    rate_pct: 15.0,
+    counter_pct: 10.0,
+    sustain: 2,
+};
 
 /// What a tracked metric measures, deciding its regression direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,17 +145,17 @@ fn pct_change(current: f64, baseline: f64) -> f64 {
     ((current - baseline) / baseline.abs().max(1e-300) * 100.0).clamp(-1e9, 1e9)
 }
 
-fn is_bad(kind: MetricKind, delta_pct: f64, tol: &Tolerances) -> bool {
+fn is_bad(kind: MetricKind, delta_pct: f64) -> bool {
     match kind {
-        MetricKind::Rate => delta_pct < -tol.rate_pct,
-        MetricKind::Counter => delta_pct > tol.counter_pct,
+        MetricKind::Rate => delta_pct < -TOLERANCES.rate_pct,
+        MetricKind::Counter => delta_pct > TOLERANCES.counter_pct,
     }
 }
 
-fn is_improved(kind: MetricKind, delta_pct: f64, tol: &Tolerances) -> bool {
+fn is_improved(kind: MetricKind, delta_pct: f64) -> bool {
     match kind {
-        MetricKind::Rate => delta_pct > tol.rate_pct,
-        MetricKind::Counter => delta_pct < -tol.counter_pct,
+        MetricKind::Rate => delta_pct > TOLERANCES.rate_pct,
+        MetricKind::Counter => delta_pct < -TOLERANCES.counter_pct,
     }
 }
 
@@ -187,7 +184,7 @@ fn series(
 }
 
 /// Score one metric given its full comparable series (last = current).
-fn score_series(metric: &str, kind: MetricKind, vals: &[f64], tol: &Tolerances) -> MetricDelta {
+fn score_series(metric: &str, kind: MetricKind, vals: &[f64]) -> MetricDelta {
     debug_assert!(!vals.is_empty());
     // Bad-against-own-baseline for every position, so `consecutive_bad`
     // has replay semantics: each record is judged exactly as it was (or
@@ -198,7 +195,7 @@ fn score_series(metric: &str, kind: MetricKind, vals: &[f64], tol: &Tolerances) 
         }
         let w0 = i.saturating_sub(BASELINE_WINDOW);
         let base = median(&vals[w0..i]);
-        is_bad(kind, pct_change(vals[i], base), tol)
+        is_bad(kind, pct_change(vals[i], base))
     };
     let last = vals.len() - 1;
     let current = vals[last];
@@ -219,11 +216,11 @@ fn score_series(metric: &str, kind: MetricKind, vals: &[f64], tol: &Tolerances) 
     }
     let class = match baseline {
         None => DeltaClass::NoBaseline,
-        Some(_) if consecutive_bad >= tol.sustain.max(1) && is_bad(kind, delta_pct, tol) => {
+        Some(_) if consecutive_bad >= TOLERANCES.sustain && is_bad(kind, delta_pct) => {
             DeltaClass::Regressed
         }
-        Some(_) if is_bad(kind, delta_pct, tol) => DeltaClass::Suspect,
-        Some(_) if is_improved(kind, delta_pct, tol) => DeltaClass::Improved,
+        Some(_) if is_bad(kind, delta_pct) => DeltaClass::Suspect,
+        Some(_) if is_improved(kind, delta_pct) => DeltaClass::Improved,
         Some(_) => DeltaClass::Ok,
     };
     MetricDelta {
@@ -242,11 +239,7 @@ fn score_series(metric: &str, kind: MetricKind, vals: &[f64], tol: &Tolerances) 
 ///
 /// `history` must not include `current` itself (the caller strips a
 /// trailing duplicate record first — idempotent re-runs).
-pub fn classify(
-    history: &[TrendRecord],
-    current: &TrendRecord,
-    tol: &Tolerances,
-) -> Vec<MetricDelta> {
+pub fn classify(history: &[TrendRecord], current: &TrendRecord) -> Vec<MetricDelta> {
     let warn_only = rate_gate_warn_only(current.host_threads);
     let mut out = Vec::with_capacity(current.rates.len() + current.counters.len());
     for (metric, kind) in current
@@ -256,7 +249,7 @@ pub fn classify(
         .chain(current.counters.keys().map(|k| (k, MetricKind::Counter)))
     {
         let vals = series(history, current, metric, kind);
-        let mut d = score_series(metric, kind, &vals, tol);
+        let mut d = score_series(metric, kind, &vals);
         d.gating = d.class == DeltaClass::Regressed && !(kind == MetricKind::Rate && warn_only);
         out.push(d);
     }
@@ -295,7 +288,7 @@ mod tests {
     #[test]
     fn no_history_is_no_baseline_with_zero_delta() {
         let cur = rec(4, 1000.0, 50);
-        let ds = classify(&[], &cur, &Tolerances::default());
+        let ds = classify(&[], &cur);
         for d in &ds {
             assert_eq!(d.class, DeltaClass::NoBaseline);
             assert_eq!(d.delta_pct, 0.0);
@@ -306,14 +299,13 @@ mod tests {
     #[test]
     fn stable_series_is_ok_and_single_dip_is_suspect_not_gating() {
         let hist: Vec<TrendRecord> = (0..5).map(|_| rec(4, 1000.0, 50)).collect();
-        let tol = Tolerances::default();
         // Identical value: ok, zero delta.
-        let ds = classify(&hist, &rec(4, 1000.0, 50), &tol);
+        let ds = classify(&hist, &rec(4, 1000.0, 50));
         let d = delta_of(&ds, "grid.hash.b1000");
         assert_eq!(d.class, DeltaClass::Ok);
         assert_eq!(d.delta_pct, 0.0);
         // One 25% dip: out of tolerance but not sustained.
-        let ds = classify(&hist, &rec(4, 750.0, 50), &tol);
+        let ds = classify(&hist, &rec(4, 750.0, 50));
         let d = delta_of(&ds, "grid.hash.b1000");
         assert_eq!(d.class, DeltaClass::Suspect);
         assert_eq!(d.consecutive_bad, 1);
@@ -326,7 +318,7 @@ mod tests {
         // current bad one: 2 consecutive ⇒ regressed + gating.
         let mut hist: Vec<TrendRecord> = (0..5).map(|_| rec(4, 1000.0, 50)).collect();
         hist.push(rec(4, 750.0, 50));
-        let ds = classify(&hist, &rec(4, 745.0, 50), &Tolerances::default());
+        let ds = classify(&hist, &rec(4, 745.0, 50));
         let d = delta_of(&ds, "grid.hash.b1000");
         assert_eq!(d.class, DeltaClass::Regressed);
         assert_eq!(d.consecutive_bad, 2);
@@ -338,7 +330,7 @@ mod tests {
     fn single_thread_host_rates_warn_only_but_counters_still_gate() {
         let mut hist: Vec<TrendRecord> = (0..5).map(|_| rec(1, 1000.0, 50)).collect();
         hist.push(rec(1, 700.0, 70));
-        let ds = classify(&hist, &rec(1, 700.0, 70), &Tolerances::default());
+        let ds = classify(&hist, &rec(1, 700.0, 70));
         let rate = delta_of(&ds, "grid.hash.b1000");
         assert_eq!(rate.class, DeltaClass::Regressed);
         assert!(!rate.gating, "1-thread rate regressions are warn-band");
@@ -353,7 +345,7 @@ mod tests {
     #[test]
     fn improvement_is_reported_not_gated() {
         let hist: Vec<TrendRecord> = (0..5).map(|_| rec(4, 1000.0, 50)).collect();
-        let ds = classify(&hist, &rec(4, 1400.0, 30), &Tolerances::default());
+        let ds = classify(&hist, &rec(4, 1400.0, 30));
         assert_eq!(delta_of(&ds, "grid.hash.b1000").class, DeltaClass::Improved);
         assert_eq!(
             delta_of(&ds, "xs.bin_scan_steps").class,
@@ -368,7 +360,7 @@ mod tests {
         let mut other = rec(4, 10.0, 5000);
         other.mcs_scale = 1.0; // different scale: not comparable
         hist.push(other);
-        let ds = classify(&hist, &rec(4, 1000.0, 50), &Tolerances::default());
+        let ds = classify(&hist, &rec(4, 1000.0, 50));
         assert_eq!(delta_of(&ds, "grid.hash.b1000").class, DeltaClass::Ok);
     }
 
@@ -381,7 +373,7 @@ mod tests {
         for _ in 0..5 {
             hist.push(rec(4, 700.0, 50));
         }
-        let ds = classify(&hist, &rec(4, 700.0, 50), &Tolerances::default());
+        let ds = classify(&hist, &rec(4, 700.0, 50));
         assert_eq!(delta_of(&ds, "grid.hash.b1000").class, DeltaClass::Ok);
     }
 
@@ -390,7 +382,7 @@ mod tests {
         let hist: Vec<TrendRecord> = (0..3).map(|_| rec(4, 1000.0, 0)).collect();
         let mut bad_hist = hist.clone();
         bad_hist.push(rec(4, 1000.0, 10_000));
-        let ds = classify(&bad_hist, &rec(4, 1000.0, 10_000), &Tolerances::default());
+        let ds = classify(&bad_hist, &rec(4, 1000.0, 10_000));
         let d = delta_of(&ds, "xs.bin_scan_steps");
         assert_eq!(d.class, DeltaClass::Regressed);
         assert!(d.delta_pct.is_finite());

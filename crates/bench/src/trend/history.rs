@@ -15,6 +15,9 @@ use std::path::{Path, PathBuf};
 use super::record::TrendRecord;
 use super::TrendError;
 
+/// History records kept per leg; [`append`] trims the oldest beyond this.
+pub const MAX_KEEP: usize = 500;
+
 /// History filename for an ISA leg.
 pub fn history_file(dir: &Path, leg: &str) -> PathBuf {
     dir.join(format!("history-{leg}.jsonl"))
@@ -68,10 +71,12 @@ pub fn append(
     record: &TrendRecord,
     max_keep: usize,
 ) -> Result<(), TrendError> {
-    let io_err = |e: std::io::Error| TrendError::Io {
+    let err = |msg: String| TrendError::Io {
         path: path.display().to_string(),
-        msg: e.to_string(),
+        msg,
     };
+    let io_err = |e: std::io::Error| err(e.to_string());
+    let line = |r: &TrendRecord| r.to_json_line().map_err(|e| err(e.to_string()));
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent).map_err(io_err)?;
     }
@@ -79,12 +84,10 @@ pub fn append(
         // Rewrite the trimmed window atomically.
         let keep_from = existing.len() + 1 - max_keep;
         let mut out = String::new();
-        for r in &existing[keep_from..] {
-            out.push_str(&r.to_json_line());
+        for r in existing[keep_from..].iter().chain([record]) {
+            out.push_str(&line(r)?);
             out.push('\n');
         }
-        out.push_str(&record.to_json_line());
-        out.push('\n');
         let tmp = path.with_extension("jsonl.tmp");
         fs::write(&tmp, out).map_err(io_err)?;
         fs::rename(&tmp, path).map_err(io_err)?;
@@ -94,7 +97,7 @@ pub fn append(
             .append(true)
             .open(path)
             .map_err(io_err)?;
-        writeln!(f, "{}", record.to_json_line()).map_err(io_err)?;
+        writeln!(f, "{}", line(record)?).map_err(io_err)?;
     }
     Ok(())
 }

@@ -82,8 +82,8 @@ impl std::error::Error for TrendError {}
 /// Configuration of one trend run.
 #[derive(Debug, Clone)]
 pub struct TrendOptions {
-    /// Directory holding `BENCH_*.json` (+ optional `check/` subdir and
-    /// `check_report.json`).
+    /// Directory holding the `BENCH_*.json` files (read, not searched:
+    /// subdirectories are ignored).
     pub results_dir: PathBuf,
     /// Directory holding the per-leg history files.
     pub history_dir: PathBuf,
@@ -93,10 +93,6 @@ pub struct TrendOptions {
     pub commit: String,
     /// Unix seconds stamped on the record.
     pub timestamp: u64,
-    /// Gate tolerances.
-    pub tolerances: Tolerances,
-    /// History records kept per leg (oldest trimmed beyond this).
-    pub max_keep: usize,
     /// Whether to append the record (false = dry run: classify and
     /// report only).
     pub append: bool,
@@ -114,8 +110,6 @@ impl TrendOptions {
             leg: "local".to_string(),
             commit: "unknown".to_string(),
             timestamp: 0,
-            tolerances: Tolerances::default(),
-            max_keep: 500,
             append: true,
             harnesses: HARNESSES,
         }
@@ -167,17 +161,17 @@ pub fn run(opts: &TrendOptions) -> Result<TrendOutcome, TrendError> {
         &full_history[..]
     };
 
-    let deltas = delta::classify(prior, &record, &opts.tolerances);
+    let deltas = delta::classify(prior, &record);
 
     let should_append = opts.append && !duplicate_of_tail;
     if should_append {
-        history::append(&hist_path, &full_history, &record, opts.max_keep)?;
+        history::append(&hist_path, &full_history, &record, history::MAX_KEEP)?;
     }
     let history_len = if duplicate_of_tail {
         full_history.len()
     } else {
         // Evaluated record counts whether or not it was persisted.
-        (full_history.len() + 1).min(opts.max_keep)
+        (full_history.len() + 1).min(history::MAX_KEEP)
     };
 
     let report = TrendReport {
@@ -189,7 +183,6 @@ pub fn run(opts: &TrendOptions) -> Result<TrendOutcome, TrendError> {
         history_len,
         appended: should_append,
         warn_only_rates: rate_gate_warn_only(record.host_threads),
-        tolerances: opts.tolerances,
         deltas,
         sources: ing.sources,
         skipped: ing.skipped,

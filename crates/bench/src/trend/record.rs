@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use mcs_prof::value::{escape_json, JsonValue};
+use mcs_prof::value::{JsonValue, JsonWriteError};
 
 use super::TrendError;
 
@@ -40,40 +40,39 @@ pub struct TrendRecord {
     /// Measured rates per benchmark cell, e.g.
     /// `grid.hash.b100000` → lookups/s. Keys are stable cell IDs.
     pub rates: BTreeMap<String, f64>,
-    /// Deterministic work counters per benchmark cell plus the `xs.*`
-    /// set from `check_report.json`, e.g.
-    /// `eq.hash.material+energy.b10000.gather_span_bytes`.
+    /// Deterministic work counters per benchmark cell plus the `xs.*` /
+    /// `geom.*` counters the harnesses export, e.g.
+    /// `grid.hash.b10000.index_bytes`.
     pub counters: BTreeMap<String, u64>,
 }
 
 impl TrendRecord {
-    /// Serialize as one compact JSONL line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str(&format!(
-            "{{\"schema\": \"{RECORD_SCHEMA}\", \"commit\": \"{}\", \"timestamp\": {}, \
-             \"leg\": \"{}\", \"mcs_scale\": {}, \"host_threads\": {}, \"rates\": {{",
-            escape_json(&self.commit),
-            self.timestamp,
-            escape_json(&self.leg),
-            self.mcs_scale,
-            self.host_threads,
-        ));
-        for (i, (k, v)) in self.rates.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\": {v}", escape_json(k)));
-        }
-        s.push_str("}, \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\": {v}", escape_json(k)));
-        }
-        s.push_str("}}");
-        s
+    /// Serialize as one compact JSONL line (no trailing newline); `Err`
+    /// on a value JSON cannot carry exactly (a non-finite rate, a count
+    /// above 2^53).
+    pub fn to_json_line(&self) -> Result<String, JsonWriteError> {
+        let uint = |n: u64| JsonValue::uint(n.into());
+        let rates = self
+            .rates
+            .iter()
+            .map(|(k, &v)| (k.clone(), JsonValue::Num(v)))
+            .collect();
+        let counters = self
+            .counters
+            .iter()
+            .map(|(k, &v)| Ok((k.clone(), uint(v)?)))
+            .collect::<Result<_, JsonWriteError>>()?;
+        JsonValue::object([
+            ("schema", JsonValue::Str(RECORD_SCHEMA.into())),
+            ("commit", JsonValue::Str(self.commit.clone())),
+            ("timestamp", uint(self.timestamp)?),
+            ("leg", JsonValue::Str(self.leg.clone())),
+            ("mcs_scale", JsonValue::Num(self.mcs_scale)),
+            ("host_threads", uint(self.host_threads as u64)?),
+            ("rates", JsonValue::Object(rates)),
+            ("counters", JsonValue::Object(counters)),
+        ])
+        .write()
     }
 
     /// Parse one JSONL line. Strict: schema mismatch, missing fields,
@@ -189,14 +188,14 @@ mod tests {
     #[test]
     fn round_trip_is_lossless() {
         let r = sample();
-        let back = TrendRecord::from_json_line(&r.to_json_line()).unwrap();
+        let back = TrendRecord::from_json_line(&r.to_json_line().unwrap()).unwrap();
         assert_eq!(back, r);
     }
 
     #[test]
     fn rejects_schema_drift_and_corruption() {
         let r = sample();
-        let line = r.to_json_line();
+        let line = r.to_json_line().unwrap();
         // Truncation anywhere inside the line must fail.
         assert!(TrendRecord::from_json_line(&line[..line.len() - 1]).is_err());
         assert!(TrendRecord::from_json_line(&line[..line.len() / 2]).is_err());

@@ -10,7 +10,7 @@
 
 use mcs_prof::value::{JsonValue, JsonWriteError};
 
-use super::delta::{DeltaClass, MetricDelta, Tolerances};
+use super::delta::{DeltaClass, MetricDelta, TOLERANCES};
 
 /// Schema tag stamped on every report.
 pub const REPORT_SCHEMA: &str = "mcs-trend-report/2";
@@ -35,8 +35,6 @@ pub struct TrendReport {
     pub appended: bool,
     /// Whether rate regressions are warn-only on this host.
     pub warn_only_rates: bool,
-    /// Tolerances the gate ran with.
-    pub tolerances: Tolerances,
     /// Per-metric deltas, in metric order.
     pub deltas: Vec<MetricDelta>,
     /// Files that fed the record.
@@ -95,9 +93,9 @@ impl TrendReport {
             (
                 "tolerances",
                 JsonValue::object([
-                    ("rate_pct", num(self.tolerances.rate_pct)),
-                    ("counter_pct", num(self.tolerances.counter_pct)),
-                    ("sustain", uint(self.tolerances.sustain)?),
+                    ("rate_pct", num(TOLERANCES.rate_pct)),
+                    ("counter_pct", num(TOLERANCES.counter_pct)),
+                    ("sustain", uint(TOLERANCES.sustain)?),
                 ]),
             ),
         ]);
@@ -170,7 +168,6 @@ mod tests {
             history_len: 3,
             appended: true,
             warn_only_rates: false,
-            tolerances: Tolerances::default(),
             deltas: vec![
                 MetricDelta {
                     metric: "grid.hash.b1000".into(),

@@ -19,21 +19,45 @@ fn scratch(tag: &str) -> PathBuf {
     d
 }
 
-/// Write one harness's result files the way `mcs-bench run` does.
-fn write_bench(dir: &Path, harness: &'static str, table: Table) {
+/// Write one harness's result files the way `mcs-bench run` does, at
+/// `scale`, exporting `counters`, stamped as a 4-thread host so rate
+/// regressions gate.
+fn write_bench(
+    dir: &Path,
+    harness: &'static str,
+    scale: f64,
+    table: Table,
+    counters: &[(&str, u64)],
+) {
     HarnessRun {
         harness,
-        scale: 0.1,
+        scale,
         tables: vec![table],
+        counters: counters.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
         ..Default::default()
     }
     .write(dir)
     .unwrap();
+    let path = dir.join(format!("BENCH_{harness}.json"));
+    let stamp = |n: usize| format!("\"host_threads\": {n},");
+    edit(&path, &stamp(mcs_bench::host_threads()), &stamp(4));
+}
+
+/// Replace `from` (which must occur) by `to` in the file at `path`.
+fn edit(path: &Path, from: &str, to: &str) {
+    let text = fs::read_to_string(path).unwrap();
+    assert!(text.contains(from), "{from:?} not in {text}");
+    fs::write(path, text.replace(from, to)).unwrap();
 }
 
 /// Write a minimal but complete synthetic results directory whose grid
 /// rates are scaled by `rate_factor` (1.0 = the healthy baseline).
 fn write_results(dir: &Path, rate_factor: f64) {
+    write_results_at(dir, rate_factor, 0.1);
+}
+
+/// [`write_results`] stamped with `scale`.
+fn write_results_at(dir: &Path, rate_factor: f64, scale: f64) {
     let mut grid = Table::new(
         "BENCH_grid_backend",
         vec![
@@ -56,16 +80,14 @@ fn write_results(dir: &Path, rate_factor: f64) {
         480_000.0.into(),
         0u64.into(),
     ]);
-    write_bench(dir, "grid_backend", grid);
-
-    // check_report stamps a multi-thread host so rate regressions gate.
-    fs::write(
-        dir.join("check_report.json"),
-        "{\"schema\": \"mcs-check-report/2\", \"scale\": 0.1, \"threads\": 4,\n\
-         \"counters\": {\"xs.bin_scan_steps\": 110751, \"xs.gather_span_bytes\": 11600000, \
-         \"xs.gather_span_pairs\": 57125, \"xs.index_bytes\": 13024, \"xs.lookups\": 57971}}\n",
-    )
-    .unwrap();
+    let counters = [
+        ("xs.bin_scan_steps", 110_751),
+        ("xs.gather_span_bytes", 11_600_000),
+        ("xs.gather_span_pairs", 57_125),
+        ("xs.index_bytes", 13_024),
+        ("xs.lookups", 57_971),
+    ];
+    write_bench(dir, "grid_backend", scale, grid, &counters);
 }
 
 fn opts(results: &Path, hist: &Path, commit: &str, ts: u64) -> TrendOptions {
@@ -150,23 +172,20 @@ fn counter_growth_gates_even_on_one_thread() {
     let hist = d.join("trend");
     fs::create_dir_all(&results).unwrap();
     write_results(&results, 1.0);
-    // Re-stamp the report as a 1-thread host.
-    let report_path = results.join("check_report.json");
-    let text = fs::read_to_string(&report_path)
-        .unwrap()
-        .replace("\"threads\": 4", "\"threads\": 1");
-    fs::write(&report_path, text).unwrap();
+    // Re-stamp the bench as a 1-thread host.
+    let bench = results.join("BENCH_grid_backend.json");
+    edit(&bench, "\"host_threads\": 4,", "\"host_threads\": 1,");
 
     for i in 0..5 {
         trend::run(&opts(&results, &hist, &format!("g{i}"), i)).unwrap();
     }
     // Inflate a deterministic counter, then record it 2 runs straight
     // (distinct commits so the idempotency dedupe does not kick in).
-    let text = fs::read_to_string(&report_path).unwrap().replace(
+    edit(
+        &bench,
         "\"xs.bin_scan_steps\": 110751",
         "\"xs.bin_scan_steps\": 221502",
     );
-    fs::write(&report_path, text).unwrap();
 
     let first = trend::run(&opts(&results, &hist, "cb0", 100)).unwrap();
     assert!(first.report.warn_only_rates, "1-thread host is warn-only");
@@ -243,6 +262,50 @@ fn unstamped_registered_bench_is_a_hard_err_and_a_foreign_tag_a_note() {
         }
         other => panic!("expected a Parse error, got {other:?}"),
     }
+}
+
+#[test]
+fn a_mixed_scale_directory_is_an_err_naming_both_scales() {
+    let d = scratch("mixed");
+    let results = d.join("results");
+    let hist = d.join("trend");
+    write_results(&results, 1.0);
+    let kernels = Table::new(
+        "kernels_micro",
+        vec![
+            Column::key("kernel"),
+            Column::measured("per_s", Fmt::Fixed(1)).trended(),
+        ],
+    )
+    .trended("kernels");
+    write_bench(&results, "kernels", 1.0, kernels, &[]);
+    match trend::run(&opts(&results, &hist, "c0", 1)) {
+        Err(TrendError::Parse { file, msg }) => {
+            assert!(file.contains("BENCH_kernels.json"), "{file}");
+            assert!(
+                msg.contains("scale 1 ") && msg.contains("scale 0.1"),
+                "{msg}"
+            );
+            assert!(msg.contains("BENCH_grid_backend.json"), "{msg}");
+        }
+        other => panic!("expected a Parse error, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_check_subdirectory_is_ignored() {
+    let d = scratch("subdir");
+    let results = d.join("results");
+    let hist = d.join("trend");
+    write_results(&results, 1.0);
+    // A fresh run at another scale (and other rates) one level down is
+    // not part of this directory's record.
+    write_results_at(&results.join("check"), 0.5, 1.0);
+    let out = trend::run(&opts(&results, &hist, "c0", 1)).unwrap();
+    assert_eq!(out.record.mcs_scale, 0.1);
+    assert_eq!(out.record.rates["grid.hash.b10000"], 900_000.0);
+    assert_eq!(out.report.sources, vec!["BENCH_grid_backend.json"]);
+    assert!(out.report.skipped.is_empty(), "{:?}", out.report.skipped);
 }
 
 #[test]
@@ -331,7 +394,7 @@ proptest! {
     #[test]
     fn jsonl_round_trip_is_lossless(seed in any::<u64>()) {
         let rec = record_from_seed(seed);
-        let line = rec.to_json_line();
+        let line = rec.to_json_line().unwrap();
         prop_assert!(!line.contains('\n'), "JSONL line must be single-line");
         let back = TrendRecord::from_json_line(&line).unwrap();
         prop_assert_eq!(back, rec);
@@ -340,7 +403,7 @@ proptest! {
     #[test]
     fn truncated_lines_never_parse(seed in any::<u64>(), cut in 1usize..200) {
         let rec = record_from_seed(seed);
-        let line = rec.to_json_line();
+        let line = rec.to_json_line().unwrap();
         if cut < line.len() {
             let truncated = &line[..line.len() - cut];
             prop_assert!(

@@ -140,11 +140,7 @@ impl Comm {
             self.txs[self.rank].send(msg).unwrap();
         }
         all.sort_by_key(|&(start, _)| start);
-        let mut merged = Tallies::default();
-        for (_, t) in &all {
-            merged.merge(t);
-        }
-        merged
+        Tallies::fold(all.iter().map(|(_, t)| t))
     }
 
     /// Status barrier: gather every live rank's batch wall time and
@@ -225,7 +221,7 @@ mod tests {
         assert_eq!(t1, t2);
         assert_eq!(t1, t4);
         for (a, b) in [(&r1, &r2), (&r1, &r4)] {
-            for (x, y) in a.batches.iter().zip(&b.batches) {
+            for (x, y) in a.result.batches.iter().zip(&b.result.batches) {
                 assert_eq!(x.k_track.to_bits(), y.k_track.to_bits());
                 assert_eq!(x.entropy, y.entropy);
             }
@@ -245,7 +241,7 @@ mod tests {
             .into_eigenvalue()
             .result;
         let dist = run_even(&p, &plan, 3);
-        for (a, b) in serial.batches.iter().zip(&dist.batches) {
+        for (a, b) in serial.batches.iter().zip(&dist.result.batches) {
             assert_eq!(
                 a.k_track.to_bits(),
                 b.k_track.to_bits(),
@@ -274,7 +270,7 @@ mod tests {
             .collect();
         for other in &results[1..] {
             assert_eq!(results[0].result.tallies, other.result.tallies);
-            for (a, b) in results[0].batches.iter().zip(&other.batches) {
+            for (a, b) in results[0].result.batches.iter().zip(&other.result.batches) {
                 assert_eq!(a.k_track.to_bits(), b.k_track.to_bits());
             }
         }
@@ -291,7 +287,7 @@ mod tests {
             skewed.result.tallies.collisions,
             skewed2.result.tallies.collisions
         );
-        for (x, y) in skewed.batches.iter().zip(&skewed2.batches) {
+        for (x, y) in skewed.result.batches.iter().zip(&skewed2.result.batches) {
             assert!((x.k_track - y.k_track).abs() < 1e-12);
         }
     }
@@ -305,11 +301,14 @@ mod tests {
         let fixed = run_even(&p, &plan, 2);
         // Rebalancing changes who computes what, never what is computed.
         assert_eq!(adaptive.result.tallies, fixed.result.tallies);
-        for (x, y) in adaptive.batches.iter().zip(&fixed.batches) {
+        for (x, y) in adaptive.result.batches.iter().zip(&fixed.result.batches) {
             assert_eq!(x.k_track.to_bits(), y.k_track.to_bits());
         }
         // And the later batches' assignments must still sum to the total.
-        assert_eq!(adaptive_policy.details().len(), adaptive.batches.len());
+        assert_eq!(
+            adaptive_policy.details().len(),
+            adaptive.result.batches.len()
+        );
         for d in adaptive_policy.details() {
             assert_eq!(d.assignments.iter().sum::<u64>(), 600);
         }
@@ -344,7 +343,7 @@ mod tests {
             degraded.result.k_mean.to_bits()
         );
         // The dead rank has no work from its death batch on.
-        assert_eq!(policy.details().len(), degraded.batches.len());
+        assert_eq!(policy.details().len(), degraded.result.batches.len());
         for d in policy.details() {
             if d.index >= 2 {
                 assert_eq!(d.assignments[1], 0, "batch {}", d.index);
@@ -368,7 +367,7 @@ mod tests {
         ));
         let r = run(&p, &plan, &mut policy);
         assert!(!r.completed, "the job lost every rank");
-        assert_eq!(r.batches.len(), 3); // batches 0..3 ran
+        assert_eq!(r.result.batches.len(), 3); // batches 0..3 ran
         assert_eq!(r.checkpoints.len(), 1);
         assert_eq!(r.checkpoints[0].completed_batches, 2);
     }

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use mcs_core::balance::{chunk_aligned_split, redistribute_dead, split_among_alive};
 use mcs_core::engine::{
-    transport_chunks, BatchContext, BatchOutput, ExecutionPolicy, Halt, RunPlan,
+    transport_chunks, Algorithm, BatchContext, BatchOutput, ExecutionPolicy, Halt, RunMode, RunPlan,
 };
 use mcs_core::event::EventStats;
 use mcs_core::history::{TransportOutcome, CHUNK};
@@ -31,7 +31,6 @@ use mcs_core::particle::Site;
 use mcs_core::problem::Problem;
 use mcs_core::tally::Tallies;
 use mcs_device::catalog::DeviceSpec;
-use mcs_device::TransportKind;
 use mcs_faults::{FaultLog, FaultPlan, FaultRecord, FaultRecordKind};
 
 use crate::mpi::Comm;
@@ -113,7 +112,7 @@ impl DistributedPolicy {
     ///
     /// # Panics
     /// If `devices.len()` differs from the policy's rank count.
-    pub fn with_devices(mut self, devices: &[DeviceSpec], kind: TransportKind) -> Self {
+    pub fn with_devices(mut self, devices: &[DeviceSpec], kind: Algorithm) -> Self {
         assert_eq!(
             devices.len(),
             self.n_ranks,
@@ -140,6 +139,23 @@ impl DistributedPolicy {
     pub fn with_fault_plan(mut self, plan: Option<FaultPlan>) -> Self {
         self.fault_plan = plan.unwrap_or_else(|| FaultPlan::new(0));
         self
+    }
+
+    /// Can the distributed policy run `plan`? It transports eigenvalue
+    /// batches and nothing else, so `Err` names the first thing `plan`
+    /// asks for that it cannot run: a mesh tally, a spectrum, or
+    /// fixed-source mode. Callers refuse such a plan up front; the policy
+    /// itself halts on a mesh or spectrum batch.
+    pub fn check_plan(plan: &RunPlan) -> Result<(), &'static str> {
+        if plan.mesh_tally.is_some() {
+            Err("a mesh tally")
+        } else if plan.spectrum {
+            Err("a spectrum")
+        } else if plan.mode == RunMode::FixedSource {
+            Err("fixed-source mode")
+        } else {
+            Ok(())
+        }
     }
 
     /// Number of ranks this policy simulates.
@@ -258,15 +274,11 @@ impl ExecutionPolicy for DistributedPolicy {
         problem: &Problem,
         ctx: &BatchContext<'_>,
     ) -> Result<BatchOutput, Halt> {
-        if ctx.spectrum {
+        if ctx.spectrum || ctx.mesh.is_some() {
             return Err(Halt {
-                reason: "the distributed policy does not score spectra".to_string(),
+                reason: "the distributed policy scores neither spectra nor mesh tallies".into(),
             });
         }
-        assert!(
-            ctx.mesh.is_none(),
-            "the distributed policy does not score mesh tallies"
-        );
         assert!(
             ctx.profiler.is_none(),
             "external profiling is a thread-local feature"
@@ -300,11 +312,18 @@ impl ExecutionPolicy for DistributedPolicy {
                         let offset: u64 = assignments[..r].iter().sum();
                         let count = assignments[r] as usize;
                         let lo = offset as usize;
-                        let my_sources = &sources[lo..lo + count];
-                        let my_streams = &streams[lo..lo + count];
+                        let rank_ctx = BatchContext {
+                            index: b,
+                            algorithm,
+                            sources: &sources[lo..lo + count],
+                            streams: &streams[lo..lo + count],
+                            mesh: None,
+                            spectrum: false,
+                            profiler: None,
+                        };
 
                         let t0 = Instant::now();
-                        let chunked = transport_chunks(problem, my_sources, my_streams, algorithm);
+                        let chunked = transport_chunks(problem, &rank_ctx);
                         let mut wall = t0.elapsed().as_secs_f64();
                         // Straggler injection inflates the *reported*
                         // time (what the adaptive balancer sees).

@@ -129,7 +129,7 @@ pub fn resample_source(sites: &[Site], n: usize, seed: u64) -> Vec<SourceSite> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{self, Algorithm, RunPlan, Threaded};
+    use crate::engine::{self, transport_batch, Algorithm, BatchRequest, RunPlan, Threaded};
     use crate::problem::Problem;
 
     /// A quick test configuration.
@@ -267,10 +267,14 @@ mod tests {
         let n = 400;
         let sources = problem.sample_initial_source(n, 0);
         let streams = crate::history::batch_streams(problem.seed, 0, n);
-        let (hist, _, _) =
-            crate::history::run_history_batch(&problem, &sources, &streams, None, false, None);
-        let (evt, _, _) =
-            crate::event::event_transport_mesh_impl(&problem, &sources, &streams, None);
+        let run = |algorithm| {
+            let req = BatchRequest {
+                algorithm,
+                ..BatchRequest::default()
+            };
+            transport_batch(&problem, &sources, &streams, &req, &mut Threaded::ambient()).outcome
+        };
+        let (hist, evt) = (run(Algorithm::History), run(Algorithm::EventBanking));
         assert_eq!(hist.tallies.segments, evt.tallies.segments);
         assert_eq!(hist.tallies.collisions, evt.tallies.collisions);
         assert_eq!(hist.tallies.absorptions, evt.tallies.absorptions);

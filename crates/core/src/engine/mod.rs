@@ -35,7 +35,7 @@ use mcs_rng::Lcg63;
 use crate::eigenvalue::{resample_source, shannon_entropy, BatchResult, EigenvalueResult};
 use crate::event::EventStats;
 use crate::fixed_source::{FixedSourceResult, FixedSourceSettings, SourceDef};
-use crate::history::batch_streams;
+use crate::history::{batch_streams, TransportOutcome};
 use crate::mesh::{MeshSpec, MeshStats, MeshTally};
 use crate::particle::{Site, SourceSite};
 use crate::problem::Problem;
@@ -81,9 +81,6 @@ impl BatchObserver for NoProgress {}
 /// Everything an eigenvalue engine run produced.
 #[derive(Debug)]
 pub struct RunReport {
-    /// Batch records for the batches *this* call executed (on resume,
-    /// earlier batches live in the statepoint's `k_history`).
-    pub batches: Vec<BatchResult>,
     /// Track-length k of every completed batch of the whole run,
     /// including batches replayed from a checkpoint.
     pub k_history: Vec<f64>,
@@ -100,8 +97,10 @@ pub struct RunReport {
     pub completed: bool,
     /// The halt reason, when `completed` is false.
     pub halt_reason: Option<String>,
-    /// The assembled eigenvalue result (k statistics over active
-    /// batches, merged tallies, mesh, event stats, total wall time).
+    /// The assembled eigenvalue result (batch records for the batches
+    /// *this* call executed — on resume, earlier batches live in
+    /// `k_history` — k statistics over active batches, merged tallies,
+    /// mesh, event stats, total wall time).
     pub result: EigenvalueResult,
 }
 
@@ -396,7 +395,7 @@ pub fn run_batches_observed(
         tallies,
     };
     let result = assemble_result(
-        &batches,
+        batches,
         &k_history,
         plan.inactive,
         tallies,
@@ -406,7 +405,6 @@ pub fn run_batches_observed(
         t_start.elapsed(),
     );
     RunReport {
-        batches,
         k_history,
         checkpoints,
         statepoint,
@@ -424,7 +422,7 @@ pub fn run_batches_observed(
 /// legacy resume path.
 #[allow(clippy::too_many_arguments)]
 fn assemble_result(
-    batches: &[BatchResult],
+    batches: Vec<BatchResult>,
     k_history: &[f64],
     inactive: usize,
     tallies: Tallies,
@@ -455,7 +453,7 @@ fn assemble_result(
         0.0
     };
     EigenvalueResult {
-        batches: batches.to_vec(),
+        batches,
         k_mean,
         k_std,
         tallies,
@@ -516,8 +514,11 @@ pub fn transport_batch(
 }
 
 /// One batch transported into CHUNK=256 keyed partials — the canonical
-/// summation tree exposed as data, for callers that fold tallies across
-/// address spaces (the distributed policy's chunk-keyed all-reduce).
+/// summation tree exposed as data. `Serial`/`Threaded` [`fold`] it
+/// straight away; the distributed policy keys each rank's chunks by
+/// global start index and folds them after its all-reduce.
+///
+/// [`fold`]: ChunkedBatch::fold
 pub struct ChunkedBatch {
     /// Per-chunk tallies, chunk `k` covering source indices
     /// `[k*CHUNK, (k+1)*CHUNK)`. Summing float fields chunk-by-chunk in
@@ -527,41 +528,56 @@ pub struct ChunkedBatch {
     /// Banked fission sites, sorted by (parent, seq); parents are local
     /// to this call's source slice.
     pub sites: Vec<Site>,
+    /// Mesh tally merged in chunk order, when the context requested one.
+    pub mesh: Option<MeshTally>,
+    /// Spectrum tally merged in chunk order, when the context requested
+    /// one (history algorithm only).
+    pub spectrum: Option<SpectrumTally>,
     /// Event-pipeline statistics (event algorithm only).
     pub event_stats: Option<EventStats>,
 }
 
-/// Transport one batch on the current thread pool, returning per-chunk
-/// partial tallies instead of a merged outcome.
-pub fn transport_chunks(
-    problem: &Problem,
-    sources: &[SourceSite],
-    streams: &[Lcg63],
-    algorithm: Algorithm,
-) -> ChunkedBatch {
-    match algorithm {
-        Algorithm::History => {
-            let outcomes = crate::history::run_histories_chunked_impl(problem, sources, streams);
-            let mut chunk_tallies = Vec::with_capacity(outcomes.len());
-            let mut sites = Vec::new();
-            for o in outcomes {
-                chunk_tallies.push(o.tallies);
-                sites.extend(o.sites);
-            }
-            ChunkedBatch {
-                chunk_tallies,
-                sites,
-                event_stats: None,
-            }
+impl ChunkedBatch {
+    /// The one canonical fold: the chunk tallies merged in chunk order
+    /// ([`Tallies::fold`]), everything else passed through.
+    pub fn fold(self) -> BatchOutput {
+        BatchOutput {
+            outcome: TransportOutcome {
+                tallies: Tallies::fold(&self.chunk_tallies),
+                sites: self.sites,
+            },
+            mesh: self.mesh,
+            spectrum: self.spectrum,
+            event_stats: self.event_stats,
         }
+    }
+}
+
+/// The one batch dispatch: transport `ctx.sources` with `ctx.streams`
+/// on the current thread pool under `ctx.algorithm`, returning the
+/// per-chunk partials. `Serial`, `Threaded` and every rank of the
+/// distributed policy reach the transport kernels through here.
+pub fn transport_chunks(problem: &Problem, ctx: &BatchContext<'_>) -> ChunkedBatch {
+    match ctx.algorithm {
+        Algorithm::History => crate::history::run_history_batch(
+            problem,
+            ctx.sources,
+            ctx.streams,
+            ctx.mesh,
+            ctx.spectrum,
+            ctx.profiler,
+        ),
         Algorithm::EventBanking => {
-            let (chunk_tallies, sites, stats) =
-                crate::event::run_event_transport_chunked_impl(problem, sources, streams);
-            ChunkedBatch {
-                chunk_tallies,
-                sites,
-                event_stats: Some(stats),
-            }
+            assert!(
+                !ctx.spectrum,
+                "the event pipeline does not score spectra; use Algorithm::History"
+            );
+            assert!(
+                ctx.profiler.is_none(),
+                "external profiling is a history-path feature (fig. 4); \
+                 the event pipeline self-times its stages"
+            );
+            crate::event::run_event_batch(problem, ctx.sources, ctx.streams, ctx.mesh)
         }
     }
 }
@@ -578,5 +594,62 @@ pub fn policy_for(spec: PolicySpec) -> Box<dyn ExecutionPolicy> {
             "mcs_core cannot instantiate a distributed policy; \
              build an mcs_cluster::DistributedPolicy from the spec"
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::history::CHUNK;
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn float_bits(t: &Tallies) -> [u64; 4] {
+        [t.track_length, t.k_track, t.k_collision, t.k_absorption].map(f64::to_bits)
+    }
+
+    #[test]
+    fn chunked_partials_fold_to_every_pool_size_bitwise() {
+        let problem = Problem::test_small();
+        let n = 600; // 3 chunks: 256 + 256 + 88
+        let sources = problem.sample_initial_source(n, 0);
+        let streams = batch_streams(problem.seed, 0, n);
+        for algorithm in [Algorithm::History, Algorithm::EventBanking] {
+            let ctx = BatchContext {
+                index: 0,
+                algorithm,
+                sources: &sources,
+                streams: &streams,
+                mesh: Some(MeshSpec::covering(problem.geometry.bounds, 4, 4, 2)),
+                spectrum: algorithm == Algorithm::History,
+                profiler: None,
+            };
+            let chunked = transport_chunks(&problem, &ctx);
+            let chunks = &chunked.chunk_tallies;
+            assert_eq!(chunks.len(), n.div_ceil(CHUNK));
+            match algorithm {
+                // History chunks are whole per-chunk partials ...
+                Algorithm::History => assert_eq!(chunks[2].n_particles, 88),
+                // ... while event integer totals ride in chunk 0 only.
+                Algorithm::EventBanking => assert_eq!(chunks[1].segments, 0),
+            }
+            let folded = chunked.fold();
+            for threads in [1, 2, 4] {
+                let out = Threaded::new(threads)
+                    .transport_batch(&problem, &ctx)
+                    .expect("thread-local policies never halt");
+                let (a, b) = (&folded.outcome, &out.outcome);
+                assert_eq!(a.tallies, b.tallies, "{algorithm:?} t{threads}");
+                assert_eq!(float_bits(&a.tallies), float_bits(&b.tallies));
+                assert_eq!(a.sites, b.sites);
+                let mesh_bins = |o: &BatchOutput| bits(&o.mesh.as_ref().expect("mesh").bins);
+                assert_eq!(mesh_bins(&folded), mesh_bins(&out));
+                let spectrum_bins = |o: &BatchOutput| o.spectrum.as_ref().map(|s| bits(&s.bins));
+                assert_eq!(spectrum_bins(&folded), spectrum_bins(&out));
+                assert_eq!(folded.spectrum.is_some(), algorithm == Algorithm::History);
+            }
+        }
     }
 }

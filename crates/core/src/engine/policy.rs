@@ -12,6 +12,7 @@ use mcs_prof::ThreadProfiler;
 use mcs_rng::Lcg63;
 
 use crate::engine::plan::{Algorithm, RunPlan};
+use crate::engine::transport_chunks;
 use crate::event::EventStats;
 use crate::fixed_source::{FixedSourceResult, FixedSourceSettings};
 use crate::history::TransportOutcome;
@@ -74,7 +75,9 @@ pub struct BatchOutput {
 /// `DistributedPolicy` in `mcs-cluster`. The determinism contract every
 /// implementation must honor: per-particle tallies folded per CHUNK=256
 /// in index order, chunks folded in chunk order — the exact summation
-/// tree of the serial driver.
+/// tree of the serial driver. Reaching the kernels through
+/// [`transport_chunks`] and folding its chunks in chunk order
+/// ([`crate::tally::Tallies::fold`]) honors it by construction.
 pub trait ExecutionPolicy {
     /// Human-readable policy description (for `--dry-run` and reports).
     fn describe(&self) -> String;
@@ -101,54 +104,6 @@ pub trait ExecutionPolicy {
         Err(Halt {
             reason: format!("{} does not support fixed-source mode", self.describe()),
         })
-    }
-}
-
-/// Transport one batch on the current thread pool. This is the single
-/// dispatch point from (algorithm, context) to the transport kernels —
-/// `Serial`, `Threaded`, and the per-rank slices of the distributed
-/// policy all funnel through the same code.
-pub(crate) fn transport_on_current_pool(problem: &Problem, ctx: &BatchContext<'_>) -> BatchOutput {
-    match ctx.algorithm {
-        Algorithm::History => {
-            let (outcome, mesh, spectrum) = crate::history::run_history_batch(
-                problem,
-                ctx.sources,
-                ctx.streams,
-                ctx.mesh,
-                ctx.spectrum,
-                ctx.profiler,
-            );
-            BatchOutput {
-                outcome,
-                mesh,
-                spectrum,
-                event_stats: None,
-            }
-        }
-        Algorithm::EventBanking => {
-            assert!(
-                !ctx.spectrum,
-                "the event pipeline does not score spectra; use Algorithm::History"
-            );
-            assert!(
-                ctx.profiler.is_none(),
-                "external profiling is a history-path feature (fig. 4); \
-                 the event pipeline self-times its stages"
-            );
-            let (outcome, stats, mesh) = crate::event::event_transport_mesh_impl(
-                problem,
-                ctx.sources,
-                ctx.streams,
-                ctx.mesh,
-            );
-            BatchOutput {
-                outcome,
-                mesh,
-                spectrum: None,
-                event_stats: Some(stats),
-            }
-        }
     }
 }
 
@@ -208,7 +163,7 @@ impl ExecutionPolicy for Threaded {
         problem: &Problem,
         ctx: &BatchContext<'_>,
     ) -> Result<BatchOutput, Halt> {
-        Ok(self.install(|| transport_on_current_pool(problem, ctx)))
+        Ok(self.install(|| transport_chunks(problem, ctx).fold()))
     }
 
     fn run_fixed_source(

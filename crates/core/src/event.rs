@@ -42,6 +42,7 @@ use mcs_simd::F64x8;
 use mcs_xs::MacroXs;
 use rayon::prelude::*;
 
+use crate::engine::ChunkedBatch;
 use crate::history::{TransportOutcome, CHUNK};
 use crate::mesh::{MeshSpec, MeshTally};
 use crate::particle::{sort_sites, ParticleBank, Site, SourceSite};
@@ -203,88 +204,25 @@ pub fn bucket_by_material(alive: &[u32], material: &[u32], chunk: usize, bufs: &
     }
 }
 
-/// Raw pipeline output before the canonical float fold: integer tallies
-/// and sorted sites in `out`, floats still in per-particle slots.
-struct PipelineRaw {
-    out: TransportOutcome,
-    stats: EventStats,
-    mesh: Option<MeshTally>,
-    tl_pp: Vec<f64>,
-    kt_pp: Vec<f64>,
-    kc_pp: Vec<f64>,
-    ka_pp: Vec<f64>,
-}
-
-/// The collapsed event batch driver ([`crate::engine`]'s event path):
-/// run the staged pipeline and apply the canonical CHUNK=256 float fold.
-pub(crate) fn event_transport_mesh_impl(
+/// The event batch driver ([`crate::engine::transport_chunks`]'s event
+/// path): stages 1–6 over the live bank, returned as CHUNK=256 keyed
+/// partials.
+///
+/// Integer tallies accumulate in chunk-order partial merges and every
+/// one of them (being associative) rides in chunk 0. Float tallies land
+/// in per-particle slots during the pipeline; chunk `k`'s float fields
+/// are the sums of slots `[k*CHUNK, (k+1)*CHUNK)` — exactly the history
+/// driver's chunk partials, independent of event-generation
+/// interleaving — so folding the chunks in index order makes the four
+/// float sums, and every k estimator derived from them, bit-identical
+/// to the history loop's. Sites come back sorted by (parent, seq),
+/// parents local to this slice.
+pub(crate) fn run_event_batch(
     problem: &Problem,
     sources: &[SourceSite],
     streams: &[Lcg63],
     mesh_spec: Option<MeshSpec>,
-) -> (TransportOutcome, EventStats, Option<MeshTally>) {
-    let mut raw = event_pipeline(problem, sources, streams, mesh_spec);
-    // Canonical float-tally reduction: each particle's slot already holds
-    // its segment-ordered sum; folding CHUNK slots per partial and the
-    // partials in order rebuilds the exact reduction tree the history
-    // driver uses, so these four sums — and every k estimator derived
-    // from them — are bit-identical to the history loop's, independent
-    // of event-generation interleaving.
-    let fold = |pp: &[f64]| {
-        pp.chunks(CHUNK)
-            .map(|c| c.iter().sum::<f64>())
-            .fold(0.0, |acc, s| acc + s)
-    };
-    raw.out.tallies.track_length = fold(&raw.tl_pp);
-    raw.out.tallies.k_track = fold(&raw.kt_pp);
-    raw.out.tallies.k_collision = fold(&raw.kc_pp);
-    raw.out.tallies.k_absorption = fold(&raw.ka_pp);
-    (raw.out, raw.stats, raw.mesh)
-}
-
-/// The event bank transported into CHUNK=256 keyed partials, for the
-/// distributed chunk-keyed all-reduce: chunk `k`'s float fields hold the
-/// sum of per-particle slots `[k*CHUNK, (k+1)*CHUNK)` — exactly the
-/// chunk partials of the serial fold — while every (associative) integer
-/// tally rides in chunk 0. Folding the chunks in index order therefore
-/// rebuilds the serial result bit for bit, and chunks from ranks whose
-/// slices start at CHUNK-aligned offsets coincide with the serial run's
-/// chunks. Sites come back sorted by (parent, seq), parents local to
-/// this slice.
-pub(crate) fn run_event_transport_chunked_impl(
-    problem: &Problem,
-    sources: &[SourceSite],
-    streams: &[Lcg63],
-) -> (Vec<Tallies>, Vec<Site>, EventStats) {
-    let raw = event_pipeline(problem, sources, streams, None);
-    let n = sources.len();
-    let n_chunks = n.div_ceil(CHUNK);
-    let mut chunk_tallies = vec![Tallies::default(); n_chunks];
-    if n_chunks > 0 {
-        // `raw.out.tallies`' float fields are still zero here, so chunk 0
-        // starts as pure integer totals.
-        chunk_tallies[0] = raw.out.tallies;
-        for (k, t) in chunk_tallies.iter_mut().enumerate() {
-            let lo = k * CHUNK;
-            let hi = ((k + 1) * CHUNK).min(n);
-            t.track_length = raw.tl_pp[lo..hi].iter().sum::<f64>();
-            t.k_track = raw.kt_pp[lo..hi].iter().sum::<f64>();
-            t.k_collision = raw.kc_pp[lo..hi].iter().sum::<f64>();
-            t.k_absorption = raw.ka_pp[lo..hi].iter().sum::<f64>();
-        }
-    }
-    (chunk_tallies, raw.out.sites, raw.stats)
-}
-
-/// The staged pipeline proper: stages 1–6 over the live bank. Integer
-/// tallies accumulate into `out.tallies` (chunk-order partial merges);
-/// float tallies land in per-particle slots and are *not* folded here.
-fn event_pipeline(
-    problem: &Problem,
-    sources: &[SourceSite],
-    streams: &[Lcg63],
-    mesh_spec: Option<MeshSpec>,
-) -> PipelineRaw {
+) -> ChunkedBatch {
     let mut mesh = mesh_spec.map(MeshTally::new);
     let mut bank = ParticleBank::from_sources(sources, streams);
     let n = bank.capacity();
@@ -659,16 +597,30 @@ fn event_pipeline(
 
     // Events discover sites in generation order; restore history order.
     sort_sites(&mut out.sites);
-
     stats.stage_seconds = stage_time.map(|t| t.as_secs_f64());
-    PipelineRaw {
-        out,
-        stats,
+
+    let mut chunk_tallies: Vec<Tallies> = (0..n.div_ceil(CHUNK))
+        .map(|k| {
+            let slots = k * CHUNK..((k + 1) * CHUNK).min(n);
+            Tallies {
+                track_length: tl_pp[slots.clone()].iter().sum(),
+                k_track: kt_pp[slots.clone()].iter().sum(),
+                k_collision: kc_pp[slots.clone()].iter().sum(),
+                k_absorption: ka_pp[slots].iter().sum(),
+                ..Tallies::default()
+            }
+        })
+        .collect();
+    if let Some(first) = chunk_tallies.first_mut() {
+        // `out.tallies` holds only integer totals (its floats are zero).
+        first.merge(&out.tallies);
+    }
+    ChunkedBatch {
+        chunk_tallies,
+        sites: out.sites,
         mesh,
-        tl_pp,
-        kt_pp,
-        kc_pp,
-        ka_pp,
+        spectrum: None,
+        event_stats: Some(stats),
     }
 }
 
@@ -678,19 +630,21 @@ mod tests {
     use crate::history::batch_streams;
     use crate::problem::Problem;
 
-    /// Test shorthand for the merged event run without a mesh.
+    /// Test shorthand for the folded event run without a mesh.
     fn run_event(
         problem: &Problem,
         sources: &[SourceSite],
         streams: &[Lcg63],
     ) -> (TransportOutcome, EventStats) {
-        let (out, stats, _) = event_transport_mesh_impl(problem, sources, streams, None);
-        (out, stats)
+        let out = run_event_batch(problem, sources, streams, None).fold();
+        (out.outcome, out.event_stats.expect("event stats"))
     }
 
-    /// Test shorthand for the merged history run.
+    /// Test shorthand for the folded history run, through the engine.
     fn run_hist(problem: &Problem, sources: &[SourceSite], streams: &[Lcg63]) -> TransportOutcome {
-        crate::history::run_history_batch(problem, sources, streams, None, false, None).0
+        let req = crate::engine::BatchRequest::default();
+        let policy = &mut crate::engine::Threaded::ambient();
+        crate::engine::transport_batch(problem, sources, streams, &req, policy).outcome
     }
 
     #[test]
@@ -775,19 +729,26 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            pool.install(|| event_transport_mesh_impl(&problem, &sources, &streams, Some(spec)))
+            pool.install(|| run_event_batch(&problem, &sources, &streams, Some(spec)).fold())
         };
-        let (out1, stats1, mesh1) = run(1);
-        let (out2, stats2, mesh2) = run(2);
-        let (out8, stats8, mesh8) = run(8);
+        let (b1, b2, b8) = (run(1), run(2), run(8));
+        let (out1, out2, out8) = (&b1.outcome, &b2.outcome, &b8.outcome);
 
         assert_eq!(out1.tallies, out2.tallies);
         assert_eq!(out1.tallies, out8.tallies);
         assert_eq!(out1.sites, out2.sites);
         assert_eq!(out1.sites, out8.sites);
-        assert_eq!(mesh1.as_ref().unwrap().bins, mesh2.as_ref().unwrap().bins);
-        assert_eq!(mesh1.as_ref().unwrap().bins, mesh8.as_ref().unwrap().bins);
+        assert_eq!(
+            b1.mesh.as_ref().unwrap().bins,
+            b2.mesh.as_ref().unwrap().bins
+        );
+        assert_eq!(
+            b1.mesh.as_ref().unwrap().bins,
+            b8.mesh.as_ref().unwrap().bins
+        );
         // Counters (everything but the timers) identical too.
+        let stats = |b: &crate::engine::BatchOutput| b.event_stats.unwrap();
+        let (stats1, stats2, stats8) = (stats(&b1), stats(&b2), stats(&b8));
         for (a, b) in [(&stats1, &stats2), (&stats1, &stats8)] {
             assert_eq!(a.iterations, b.iterations);
             assert_eq!(a.lookups, b.lookups);
@@ -880,29 +841,6 @@ mod tests {
         let streams = batch_streams(problem.seed, 3, n);
         let (out, _) = run_event(&problem, &sources, &streams);
         assert_eq!(out.tallies.absorptions + out.tallies.leaks, n as u64);
-    }
-
-    #[test]
-    fn chunked_event_partials_rebuild_the_merged_run_bitwise() {
-        let problem = Problem::test_small();
-        let n = 600; // 3 chunks: 256 + 256 + 88
-        let sources = problem.sample_initial_source(n, 0);
-        let streams = batch_streams(problem.seed, 0, n);
-        let (merged, merged_stats) = run_event(&problem, &sources, &streams);
-        let (chunks, sites, stats) = run_event_transport_chunked_impl(&problem, &sources, &streams);
-        assert_eq!(chunks.len(), n.div_ceil(CHUNK));
-        let mut rebuilt = Tallies::default();
-        for c in &chunks {
-            rebuilt.merge(c);
-        }
-        // Bitwise: the chunk float sums are the serial fold's partials.
-        assert_eq!(rebuilt, merged.tallies);
-        assert_eq!(sites, merged.sites);
-        assert_eq!(stats.iterations, merged_stats.iterations);
-        assert_eq!(stats.lookups, merged_stats.lookups);
-        // Integer totals ride in chunk 0 only.
-        assert_eq!(chunks[0].segments, merged.tallies.segments);
-        assert_eq!(chunks[1].segments, 0);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use mcs_prof::ThreadProfiler;
 use mcs_rng::Lcg63;
 use rayon::prelude::*;
 
+use crate::engine::ChunkedBatch;
 use crate::mesh::{MeshSpec, MeshTally};
 use crate::particle::{Particle, Site, SourceSite};
 use crate::physics::{collide, CollisionOutcome};
@@ -208,8 +209,8 @@ fn transport_particle_inner(
     panic!("particle exceeded {MAX_SEGMENTS} flight segments");
 }
 
-/// The collapsed history batch driver: every `run_histories_*` variant
-/// is this one function with different knobs.
+/// The history batch driver ([`crate::engine::transport_chunks`]'s
+/// history path).
 ///
 /// * `mesh_spec` — score a mesh tally along every segment.
 /// * `want_spectrum` — score a full-range energy spectrum.
@@ -217,9 +218,11 @@ fn transport_particle_inner(
 ///   under the `transport_total` region with per-routine attribution
 ///   (the fig. 4 measurement).
 ///
-/// Either way the batch is `CHUNK` particles per task, folded in chunk
-/// order: every thread count, and the profiled run, reproduce the one
-/// summation tree bit for bit.
+/// Either way the batch is `CHUNK` particles per task, and the chunk
+/// partials come back in chunk order (chunk `k` covers local particles
+/// `k*CHUNK .. (k+1)*CHUNK`), sites concatenated and mesh/spectrum
+/// merged in that order: every thread count, and the profiled run,
+/// reproduce the one summation tree bit for bit.
 pub(crate) fn run_history_batch(
     problem: &Problem,
     sources: &[SourceSite],
@@ -227,7 +230,7 @@ pub(crate) fn run_history_batch(
     mesh_spec: Option<MeshSpec>,
     want_spectrum: bool,
     profiler: Option<&ThreadProfiler>,
-) -> (TransportOutcome, Option<MeshTally>, Option<SpectrumTally>) {
+) -> ChunkedBatch {
     assert_eq!(sources.len(), streams.len());
 
     // `prof` is a parameter, not a capture: a `&ThreadProfiler` is not
@@ -271,54 +274,24 @@ pub(crate) fn run_history_batch(
             .collect(),
     };
 
-    let mut merged = TransportOutcome::default();
-    let mut mesh = mesh_spec.map(MeshTally::new);
-    let mut spectrum = want_spectrum.then(SpectrumTally::standard);
+    let mut batch = ChunkedBatch {
+        chunk_tallies: Vec::with_capacity(partials.len()),
+        sites: Vec::new(),
+        mesh: mesh_spec.map(MeshTally::new),
+        spectrum: want_spectrum.then(SpectrumTally::standard),
+        event_stats: None,
+    };
     for (part, part_mesh, part_spectrum) in partials {
-        merged.tallies.merge(&part.tallies);
-        merged.sites.extend(part.sites);
-        if let (Some(m), Some(pm)) = (mesh.as_mut(), part_mesh.as_ref()) {
+        batch.chunk_tallies.push(part.tallies);
+        batch.sites.extend(part.sites);
+        if let (Some(m), Some(pm)) = (batch.mesh.as_mut(), part_mesh.as_ref()) {
             m.merge(pm);
         }
-        if let (Some(sp), Some(ps)) = (spectrum.as_mut(), part_spectrum.as_ref()) {
+        if let (Some(sp), Some(ps)) = (batch.spectrum.as_mut(), part_spectrum.as_ref()) {
             sp.merge(ps);
         }
     }
-    (merged, mesh, spectrum)
-}
-
-/// [`run_history_batch`] exposing the per-chunk partial outcomes instead
-/// of the merged result, in chunk order (chunk `i` covers local particles
-/// `i*CHUNK .. (i+1)*CHUNK`).
-///
-/// This is the building block for *partition-invariant* distributed
-/// reduction: the canonical summation tree fixed by PR 2 is per-particle
-/// partials folded in index order within `CHUNK`-sized chunks, then
-/// chunks folded in chunk order. A distributed rank whose slice starts
-/// at a multiple of `CHUNK` produces chunk partials that coincide with
-/// the serial run's chunks, so the all-reduce can rebuild the *serial*
-/// fold exactly — merging whole-rank partials cannot (float addition is
-/// not associative across different groupings).
-pub(crate) fn run_histories_chunked_impl(
-    problem: &Problem,
-    sources: &[SourceSite],
-    streams: &[Lcg63],
-) -> Vec<TransportOutcome> {
-    assert_eq!(sources.len(), streams.len());
-    sources
-        .par_chunks(CHUNK)
-        .zip(streams.par_chunks(CHUNK))
-        .enumerate()
-        .map(|(chunk_idx, (src, stream))| {
-            let mut out = TransportOutcome::default();
-            for (i, (&site, &rng)) in src.iter().zip(stream).enumerate() {
-                let index = (chunk_idx * CHUNK + i) as u32;
-                let mut p = Particle::born(site, index, rng);
-                transport_particle(problem, &mut p, &mut out.tallies, &mut out.sites, None);
-            }
-            out
-        })
-        .collect()
+    batch
 }
 
 /// The per-history RNG streams for batch `batch_index` of a run: particle
@@ -341,11 +314,23 @@ mod tests {
     use super::*;
     use crate::problem::Problem;
 
+    /// The folded history batch, unprofiled unless `prof` is given.
+    fn run(
+        problem: &Problem,
+        sources: &[SourceSite],
+        streams: &[Lcg63],
+        prof: Option<&ThreadProfiler>,
+    ) -> TransportOutcome {
+        run_history_batch(problem, sources, streams, None, false, prof)
+            .fold()
+            .outcome
+    }
+
     fn small_run(n: usize) -> (Problem, TransportOutcome) {
         let problem = Problem::test_small();
         let sources = problem.sample_initial_source(n, 0);
         let streams = batch_streams(problem.seed, 0, n);
-        let out = run_history_batch(&problem, &sources, &streams, None, false, None).0;
+        let out = run(&problem, &sources, &streams, None);
         (problem, out)
     }
 
@@ -409,10 +394,8 @@ mod tests {
             .num_threads(4)
             .build()
             .unwrap();
-        let a =
-            pool1.install(|| run_history_batch(&problem, &sources, &streams, None, false, None).0);
-        let b =
-            pool4.install(|| run_history_batch(&problem, &sources, &streams, None, false, None).0);
+        let a = pool1.install(|| run(&problem, &sources, &streams, None));
+        let b = pool4.install(|| run(&problem, &sources, &streams, None));
         assert_eq!(a.tallies, b.tallies);
         assert_eq!(a.sites, b.sites);
     }
@@ -425,8 +408,8 @@ mod tests {
         let sources = problem.sample_initial_source(600, 2);
         let streams = batch_streams(problem.seed, 0, 600);
         let prof = mcs_prof::ThreadProfiler::new();
-        let a = run_history_batch(&problem, &sources, &streams, None, false, Some(&prof)).0;
-        let b = run_history_batch(&problem, &sources, &streams, None, false, None).0;
+        let a = run(&problem, &sources, &streams, Some(&prof));
+        let b = run(&problem, &sources, &streams, None);
         for (name, x, y) in [
             (
                 "track_length",
@@ -448,25 +431,6 @@ mod tests {
         let profile = prof.finish();
         assert!(profile.get("calculate_xs").unwrap().calls > 0);
         assert_eq!(profile.get("transport_total").unwrap().calls, 1);
-    }
-
-    #[test]
-    fn chunked_partials_rebuild_the_merged_run_bitwise() {
-        let problem = Problem::test_small();
-        let n = 600; // 3 chunks: 256 + 256 + 88
-        let sources = problem.sample_initial_source(n, 0);
-        let streams = batch_streams(problem.seed, 0, n);
-        let merged = run_history_batch(&problem, &sources, &streams, None, false, None).0;
-        let chunks = run_histories_chunked_impl(&problem, &sources, &streams);
-        assert_eq!(chunks.len(), n.div_ceil(CHUNK));
-        let mut rebuilt = TransportOutcome::default();
-        for c in &chunks {
-            rebuilt.tallies.merge(&c.tallies);
-            rebuilt.sites.extend(c.sites.iter().copied());
-        }
-        // Bitwise, not approximately: the fold tree is identical.
-        assert_eq!(rebuilt.tallies, merged.tallies);
-        assert_eq!(rebuilt.sites, merged.sites);
     }
 
     #[test]

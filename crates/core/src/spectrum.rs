@@ -84,7 +84,8 @@ impl SpectrumTally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::{batch_streams, run_history_batch};
+    use crate::engine::{transport_batch, BatchRequest, Threaded};
+    use crate::history::batch_streams;
     use crate::problem::Problem;
 
     #[test]
@@ -149,8 +150,13 @@ mod tests {
         let n = 1_200;
         let sources = problem.sample_initial_source(n, 0);
         let streams = batch_streams(problem.seed, 0, n);
-        let (out, _, spectrum) = run_history_batch(&problem, &sources, &streams, None, true, None);
-        let spectrum = spectrum.expect("spectrum requested");
+        let req = BatchRequest {
+            spectrum: true,
+            ..BatchRequest::default()
+        };
+        let out = transport_batch(&problem, &sources, &streams, &req, &mut Threaded::ambient());
+        let spectrum = out.spectrum.expect("spectrum requested");
+        let out = out.outcome;
 
         // Conservation: the spectrum integrates (within range cut) to the
         // total weighted track length (analog ⇒ weight 1).

@@ -84,6 +84,18 @@ impl Tallies {
         self.k_absorption += o.k_absorption;
     }
 
+    /// The canonical fold: `Tallies::default()` merged with `parts` in
+    /// iteration order. Every batch's global tallies are this fold over
+    /// its CHUNK-keyed partials in chunk order — whichever policy
+    /// transported them — so the float sums follow one summation tree.
+    pub fn fold<'a>(parts: impl IntoIterator<Item = &'a Tallies>) -> Tallies {
+        let mut total = Tallies::default();
+        for p in parts {
+            total.merge(p);
+        }
+        total
+    }
+
     /// Linearly rescale the per-particle structure to a batch of `n`
     /// source particles.
     ///

@@ -29,7 +29,9 @@
 //! workload lands within each entry's documented band of the rate its
 //! source paper reports.
 
-use crate::native::{NativeModel, TransportKind};
+use mcs_core::engine::Algorithm;
+
+use crate::native::NativeModel;
 use crate::offload::OffloadModel;
 use crate::pcie::PcieBus;
 use crate::power::PowerSpec;
@@ -350,17 +352,17 @@ impl DeviceSpec {
     /// The transport kind this device class runs natively: GPUs only
     /// make sense with banked event kernels; CPUs and KNC-style
     /// coprocessors ran the paper's scalar history port.
-    pub fn default_transport(&self) -> TransportKind {
+    pub fn default_transport(&self) -> Algorithm {
         match self.class {
-            DeviceClass::Gpu => TransportKind::EventBanked,
-            _ => TransportKind::HistoryScalar,
+            DeviceClass::Gpu => Algorithm::EventBanking,
+            _ => Algorithm::History,
         }
     }
 
     /// A native-execution model for this device (same overhead rule as
     /// the historic `NativeModel::new`, so legacy entries price
     /// bit-identically).
-    pub fn native(&self, kind: TransportKind) -> NativeModel {
+    pub fn native(&self, kind: Algorithm) -> NativeModel {
         NativeModel::new(self.machine, kind)
     }
 
@@ -374,7 +376,7 @@ impl DeviceSpec {
 
     /// Modeled calculation rate (neutrons/s) on the calibration
     /// reference workload (see [`reference_shape`]).
-    pub fn modeled_native_rate(&self, kind: TransportKind) -> f64 {
+    pub fn modeled_native_rate(&self, kind: Algorithm) -> f64 {
         let model = self.native(kind);
         let n = REFERENCE_PARTICLES as f64;
         let counts = reference_particle_counts(kind).scale(n);
@@ -416,7 +418,7 @@ impl SymmetricModel {
     /// A symmetric-mode rank set over catalog devices: one rank per
     /// device, each contributing its modeled rate in `kind` on the
     /// reference workload.
-    pub fn from_devices(devices: &[DeviceSpec], kind: TransportKind) -> Self {
+    pub fn from_devices(devices: &[DeviceSpec], kind: Algorithm) -> Self {
         let ranks: Vec<(&str, f64)> = devices
             .iter()
             .map(|d| (d.id, d.modeled_native_rate(kind)))
@@ -441,14 +443,14 @@ pub fn reference_shape() -> ProblemShape {
 /// Deterministic per-particle kernel counts for the reference workload:
 /// 100 flight segments split 45 fuel / 5 clad / 50 water (the measured
 /// H.M. Large segment mix), collision fraction 0.5.
-pub fn reference_particle_counts(kind: TransportKind) -> KernelCounts {
+pub fn reference_particle_counts(kind: Algorithm) -> KernelCounts {
     let shape = reference_shape();
     let mix: [(usize, f64); 3] = [(0, 45.0), (1, 5.0), (2, 50.0)];
     let mut total = KernelCounts::default();
     for (m, segs) in mix {
         let lookup = match kind {
-            TransportKind::HistoryScalar => xs_lookup_scalar(&shape, m),
-            TransportKind::EventBanked => xs_lookup_banked(&shape, m),
+            Algorithm::History => xs_lookup_scalar(&shape, m),
+            Algorithm::EventBanking => xs_lookup_banked(&shape, m),
         };
         let per_segment = lookup.add(&segment_other_costs(&shape, m, 0.5));
         total = total.add(&per_segment.scale(segs));
@@ -526,7 +528,7 @@ mod tests {
     #[test]
     fn legacy_entries_price_kernels_bit_identically() {
         // Same struct + same code ⇒ same bits; this pins the contract.
-        let counts = reference_particle_counts(TransportKind::HistoryScalar).scale(1e5);
+        let counts = reference_particle_counts(Algorithm::History).scale(1e5);
         for (name, legacy) in [
             ("knc-7120a", MachineSpec::mic_7120a()),
             ("host-e5-2687w", MachineSpec::host_e5_2687w()),
@@ -606,7 +608,7 @@ mod tests {
         // old Table III numbers.
         let cpu = device("host-e5-2687w").unwrap();
         let mic = device("knc-7120a").unwrap();
-        let k = TransportKind::HistoryScalar;
+        let k = Algorithm::History;
         let alpha = cpu.modeled_native_rate(k) / mic.modeled_native_rate(k);
         assert!((0.5..0.8).contains(&alpha), "alpha = {alpha:.3}");
     }
@@ -614,7 +616,7 @@ mod tests {
     #[test]
     fn gpus_outrate_the_legacy_devices() {
         let knc = device("knc-7120a").unwrap();
-        let knc_rate = knc.modeled_native_rate(TransportKind::EventBanked);
+        let knc_rate = knc.modeled_native_rate(Algorithm::EventBanking);
         for name in ["gpu-max-1100", "a100", "mi250x"] {
             let gpu = device(name).unwrap();
             assert_eq!(gpu.class, DeviceClass::Gpu);
@@ -629,7 +631,7 @@ mod tests {
             device("host-e5-2687w").unwrap(),
             device("knc-7120a").unwrap(),
         ];
-        let k = TransportKind::HistoryScalar;
+        let k = Algorithm::History;
         let m = SymmetricModel::from_devices(&devs, k);
         let manual = SymmetricModel::new(&[
             ("host-e5-2687w", devs[0].modeled_native_rate(k)),

@@ -56,7 +56,7 @@ pub mod symmetric;
 pub mod workload;
 
 pub use catalog::{Calibration, DeviceClass, DeviceSpec, PowerParams};
-pub use native::{NativeModel, TransportKind};
+pub use native::NativeModel;
 pub use offload::{OffloadBreakdown, OffloadModel};
 pub use pcie::{PcieBus, TransferError, TransferKind, TransferReport};
 pub use power::{EnergyReport, PowerSpec};

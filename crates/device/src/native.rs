@@ -6,20 +6,12 @@
 //! workload models. This is what regenerates Fig. 4 (routine-level
 //! profile), Fig. 5 (calculation rate vs particle count) and the α values.
 
+use mcs_core::engine::Algorithm;
 use mcs_core::problem::Problem;
 use mcs_core::tally::Tallies;
 
 use crate::spec::{KernelCounts, MachineSpec};
 use crate::workload::{segment_other_costs, xs_lookup_banked, xs_lookup_scalar, ProblemShape};
-
-/// Which kernel style the machine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportKind {
-    /// Scalar history-based loops (the paper's native-mode port).
-    HistoryScalar,
-    /// Banked, vectorized XS lookups (the event-based engine).
-    EventBanked,
-}
 
 /// Extract the cost-model shape from a problem. The search-space size
 /// comes from the instrumented context layer: for the unionized backend
@@ -38,8 +30,9 @@ pub fn shape_of(problem: &Problem) -> ProblemShape {
 pub struct NativeModel {
     /// The machine.
     pub spec: MachineSpec,
-    /// Kernel style.
-    pub kind: TransportKind,
+    /// Kernel style: scalar history loops (the paper's native-mode
+    /// port) or banked, vectorized XS lookups (the event engine).
+    pub kind: Algorithm,
     /// Fixed per-batch overhead (thread fork/join, tally reduction), s.
     pub batch_overhead_s: f64,
 }
@@ -47,7 +40,7 @@ pub struct NativeModel {
 impl NativeModel {
     /// Native model with the default per-batch overhead for this machine
     /// class (in-order coprocessors pay more for fork/join + reduction).
-    pub fn new(spec: MachineSpec, kind: TransportKind) -> Self {
+    pub fn new(spec: MachineSpec, kind: Algorithm) -> Self {
         let batch_overhead_s = if spec.threads_per_core >= 4 {
             8e-3
         } else {
@@ -71,8 +64,8 @@ impl NativeModel {
             let colls = t.collisions_by_material[m] as f64;
             let cf = colls / segs;
             let lookup = match self.kind {
-                TransportKind::HistoryScalar => xs_lookup_scalar(shape, m),
-                TransportKind::EventBanked => xs_lookup_banked(shape, m),
+                Algorithm::History => xs_lookup_scalar(shape, m),
+                Algorithm::EventBanking => xs_lookup_banked(shape, m),
             };
             let per_segment = lookup.add(&segment_other_costs(shape, m, cf));
             total = total.add(&per_segment.scale(segs));
@@ -103,8 +96,8 @@ impl NativeModel {
             }
             let cf = t.collisions_by_material[m] as f64 / segs;
             let lookup = match self.kind {
-                TransportKind::HistoryScalar => xs_lookup_scalar(shape, m),
-                TransportKind::EventBanked => xs_lookup_banked(shape, m),
+                Algorithm::History => xs_lookup_scalar(shape, m),
+                Algorithm::EventBanking => xs_lookup_banked(shape, m),
             };
             xs = xs.add(&lookup.scale(segs));
             other = other.add(&segment_other_costs(shape, m, cf).scale(segs));
@@ -178,8 +171,8 @@ mod tests {
             union_points: 360_000,
             full_physics: true,
         };
-        let host = NativeModel::new(MachineSpec::host_e5_2687w(), TransportKind::HistoryScalar);
-        let mic = NativeModel::new(MachineSpec::mic_7120a(), TransportKind::HistoryScalar);
+        let host = NativeModel::new(MachineSpec::host_e5_2687w(), Algorithm::History);
+        let mic = NativeModel::new(MachineSpec::mic_7120a(), Algorithm::History);
         let r_host = host.calc_rate(&shape, &t);
         let r_mic = mic.calc_rate(&shape, &t);
         let alpha = r_host / r_mic;
@@ -194,8 +187,8 @@ mod tests {
             union_points: 360_000,
             full_physics: false,
         };
-        let scalar = NativeModel::new(MachineSpec::mic_7120a(), TransportKind::HistoryScalar);
-        let banked = NativeModel::new(MachineSpec::mic_7120a(), TransportKind::EventBanked);
+        let scalar = NativeModel::new(MachineSpec::mic_7120a(), Algorithm::History);
+        let banked = NativeModel::new(MachineSpec::mic_7120a(), Algorithm::EventBanking);
         assert!(banked.batch_time(&shape, &t) < scalar.batch_time(&shape, &t));
     }
 
@@ -204,7 +197,7 @@ mod tests {
         // Fig. 5: rates drop below ~10⁴ particles because fixed batch
         // overhead stops amortizing.
         let (shape, t) = measured_tallies();
-        let host = NativeModel::new(MachineSpec::host_e5_2687w(), TransportKind::HistoryScalar);
+        let host = NativeModel::new(MachineSpec::host_e5_2687w(), Algorithm::History);
         let rate_full = host.calc_rate(&shape, &t);
         // Same per-particle counts, 100x fewer particles.
         let mut tiny = t;
@@ -229,7 +222,7 @@ mod tests {
             full_physics: true,
         };
         for spec in [MachineSpec::host_e5_2687w(), MachineSpec::mic_7120a()] {
-            let model = NativeModel::new(spec, TransportKind::HistoryScalar);
+            let model = NativeModel::new(spec, Algorithm::History);
             let prof = model.profile_breakdown(&shape, &t);
             assert!(prof[0].1 > prof[1].1 && prof[0].1 > prof[2].1, "{prof:?}");
         }

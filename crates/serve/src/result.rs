@@ -92,7 +92,12 @@ impl ServedResult {
             k_mean_bits: report.result.k_mean.to_bits(),
             k_std_bits: report.result.k_std.to_bits(),
             k_history_bits: report.k_history.iter().map(|k| k.to_bits()).collect(),
-            entropy_bits: report.batches.iter().map(|b| b.entropy.to_bits()).collect(),
+            entropy_bits: report
+                .result
+                .batches
+                .iter()
+                .map(|b| b.entropy.to_bits())
+                .collect(),
             tallies: TallySummary::from(&report.result.tallies),
         }
     }

@@ -13,11 +13,11 @@
 //! ```
 
 use mcs::cluster::{strong_scaling, CommModel, NodeSpec};
-use mcs::core::engine::{transport_batch, BatchRequest, Threaded};
+use mcs::core::engine::{transport_batch, Algorithm, BatchRequest, Threaded};
 use mcs::core::history::batch_streams;
 use mcs::core::problem::{HmModel, ProblemConfig};
 use mcs::core::Problem;
-use mcs::device::native::{shape_of, NativeModel, TransportKind};
+use mcs::device::native::{shape_of, NativeModel};
 use mcs::device::{catalog, SymmetricModel};
 
 fn main() {
@@ -48,11 +48,8 @@ fn main() {
         t.collisions_by_material[i] = (t.collisions_by_material[i] as f64 * f) as u64;
     }
 
-    let cpu = NativeModel::new(
-        catalog::machine("host-e5-2687w"),
-        TransportKind::HistoryScalar,
-    );
-    let mic = NativeModel::new(catalog::machine("knc-7120a"), TransportKind::HistoryScalar);
+    let cpu = NativeModel::new(catalog::machine("host-e5-2687w"), Algorithm::History);
+    let mic = NativeModel::new(catalog::machine("knc-7120a"), Algorithm::History);
     let r_cpu = cpu.calc_rate(&shape, &t);
     let r_mic = mic.calc_rate(&shape, &t);
     println!(

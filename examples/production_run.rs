@@ -110,7 +110,7 @@ fn main() {
     };
     let mut policy = DistributedPolicy::new(4).with_adaptive(true);
     let report = run_with_problem(&problem, &plan, &mut policy).into_eigenvalue();
-    for (b, d) in report.batches.iter().zip(policy.details()) {
+    for (b, d) in report.result.batches.iter().zip(policy.details()) {
         println!(
             "    batch {} assignments {:?}  k = {:.5}",
             b.index, d.assignments, b.k_track

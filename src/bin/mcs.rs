@@ -215,6 +215,20 @@ fn plan_from_args(args: &Args, mode: RunMode) -> RunPlan {
     }
 }
 
+/// Refuse, before any transport, a plan its policy cannot run: exit 2
+/// with one `error:` line naming the policy and the feature.
+fn refuse_unsupported(plan: &RunPlan) {
+    if let PolicySpec::Distributed { .. } = plan.policy {
+        if let Err(what) = DistributedPolicy::check_plan(plan) {
+            eprintln!(
+                "error: policy {} cannot run {what}; use serial or threaded:N",
+                plan.policy.describe()
+            );
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Instantiate the execution policy a spec describes. The CLI links
 /// `mcs-cluster`, so unlike `engine::policy_for` it can also build the
 /// distributed policy.
@@ -476,6 +490,7 @@ fn cmd_run(args: &Args) {
         print!("{}", plan.to_toml());
         return;
     }
+    refuse_unsupported(&plan);
     execute_plan(&plan, args);
 }
 
@@ -521,6 +536,7 @@ fn cmd_plot(args: &Args) {
 /// Fixed-source run: external Watt source in fuel, full fission chains.
 fn cmd_fixed(args: &Args) {
     let plan = plan_from_args(args, RunMode::FixedSource);
+    refuse_unsupported(&plan);
     println!(
         "fixed-source run: {} source particles, full fission chains...",
         plan.particles

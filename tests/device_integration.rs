@@ -2,11 +2,11 @@
 //! transport counts reproduce the paper's headline ratios.
 
 use mcs::cluster::{strong_scaling, weak_scaling, CommModel, NodeSpec};
-use mcs::core::engine::{transport_batch, BatchRequest, Threaded};
+use mcs::core::engine::{transport_batch, Algorithm, BatchRequest, Threaded};
 use mcs::core::history::batch_streams;
 use mcs::core::problem::Problem;
 use mcs::core::tally::Tallies;
-use mcs::device::native::{shape_of, NativeModel, TransportKind};
+use mcs::device::native::{shape_of, NativeModel};
 use mcs::device::workload::ProblemShape;
 use mcs::device::{MachineSpec, SymmetricModel};
 
@@ -46,8 +46,8 @@ fn hm_large_shape() -> ProblemShape {
 fn alpha_and_symmetric_pipeline_reproduce_table3_shape() {
     let t = measured_counts(250.0); // ~1e5 particles
     let shape = hm_large_shape();
-    let cpu = NativeModel::new(MachineSpec::host_e5_2687w(), TransportKind::HistoryScalar);
-    let mic = NativeModel::new(MachineSpec::mic_7120a(), TransportKind::HistoryScalar);
+    let cpu = NativeModel::new(MachineSpec::host_e5_2687w(), Algorithm::History);
+    let mic = NativeModel::new(MachineSpec::mic_7120a(), Algorithm::History);
     let r_cpu = cpu.calc_rate(&shape, &t);
     let r_mic = mic.calc_rate(&shape, &t);
     let alpha = r_cpu / r_mic;
@@ -66,10 +66,10 @@ fn alpha_and_symmetric_pipeline_reproduce_table3_shape() {
 fn measured_rates_feed_cluster_scaling_with_paper_shapes() {
     let t = measured_counts(250.0);
     let shape = hm_large_shape();
-    let r_cpu = NativeModel::new(MachineSpec::host_e5_2680(), TransportKind::HistoryScalar)
-        .calc_rate(&shape, &t);
-    let r_mic = NativeModel::new(MachineSpec::mic_se10p(), TransportKind::HistoryScalar)
-        .calc_rate(&shape, &t);
+    let r_cpu =
+        NativeModel::new(MachineSpec::host_e5_2680(), Algorithm::History).calc_rate(&shape, &t);
+    let r_mic =
+        NativeModel::new(MachineSpec::mic_se10p(), Algorithm::History).calc_rate(&shape, &t);
     let comm = CommModel::fdr_infiniband();
     let node = NodeSpec::with_one_mic(r_cpu, r_mic);
 
@@ -104,10 +104,10 @@ fn banked_kind_beats_scalar_kind_on_wide_machines_only_sometimes() {
         full_physics: false,
         ..hm_large_shape()
     };
-    let mic_scalar = NativeModel::new(MachineSpec::mic_7120a(), TransportKind::HistoryScalar);
-    let mic_banked = NativeModel::new(MachineSpec::mic_7120a(), TransportKind::EventBanked);
-    let host_scalar = NativeModel::new(MachineSpec::host_e5_2687w(), TransportKind::HistoryScalar);
-    let host_banked = NativeModel::new(MachineSpec::host_e5_2687w(), TransportKind::EventBanked);
+    let mic_scalar = NativeModel::new(MachineSpec::mic_7120a(), Algorithm::History);
+    let mic_banked = NativeModel::new(MachineSpec::mic_7120a(), Algorithm::EventBanking);
+    let host_scalar = NativeModel::new(MachineSpec::host_e5_2687w(), Algorithm::History);
+    let host_banked = NativeModel::new(MachineSpec::host_e5_2687w(), Algorithm::EventBanking);
 
     let mic_gain = mic_scalar.batch_time(&shape, &t) / mic_banked.batch_time(&shape, &t);
     let host_gain = host_scalar.batch_time(&shape, &t) / host_banked.batch_time(&shape, &t);

@@ -91,7 +91,6 @@ fn heterogeneous_device_splits_reproduce_serial_bitwise() {
     // all-reduce is chunk-keyed, k-eff and every tally must still equal
     // the serial run to the last bit, for any device mix.
     use mcs::device::catalog::device;
-    use mcs::device::TransportKind;
 
     let problem = Problem::test_small();
     let mixes: [&[&str]; 3] = [
@@ -106,8 +105,8 @@ fn heterogeneous_device_splits_reproduce_serial_bitwise() {
             .result;
         for mix in mixes {
             let devices: Vec<_> = mix.iter().map(|n| device(n).unwrap()).collect();
-            let mut policy = DistributedPolicy::new(devices.len())
-                .with_devices(&devices, TransportKind::HistoryScalar);
+            let mut policy =
+                DistributedPolicy::new(devices.len()).with_devices(&devices, Algorithm::History);
             let got = run_with_problem(&problem, &plan, &mut policy)
                 .into_eigenvalue()
                 .result;
