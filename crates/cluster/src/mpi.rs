@@ -78,41 +78,49 @@ impl Comm {
             .collect()
     }
 
-    fn n_alive_peers(&self) -> usize {
-        self.alive
-            .iter()
-            .enumerate()
-            .filter(|&(r, &a)| a && r != self.rank)
-            .count()
-    }
-
-    fn send_to_alive_peers(&self, mut make: impl FnMut() -> Message) {
-        for (r, tx) in self.txs.iter().enumerate() {
-            if r != self.rank && self.alive[r] {
-                tx.send(make()).expect("peer alive");
+    /// One collective round: send `make()` to every live peer, then
+    /// receive until each has answered. `take` consumes a message of this
+    /// collective's kind (returning `None`) and hands any other kind back;
+    /// those belong to a later collective and are requeued on this rank's
+    /// own channel afterwards.
+    fn exchange(
+        &self,
+        mut make: impl FnMut() -> Message,
+        mut take: impl FnMut(Message) -> Option<Message>,
+    ) {
+        let peers: Vec<usize> = (0..self.size)
+            .filter(|&r| r != self.rank && self.alive[r])
+            .collect();
+        for &r in &peers {
+            self.txs[r].send(make()).expect("peer alive");
+        }
+        let (mut received, mut pending) = (0, Vec::new());
+        while received < peers.len() {
+            match take(self.rx.recv().expect("peer alive")) {
+                None => received += 1,
+                Some(other) => pending.push(other),
             }
+        }
+        for msg in pending {
+            self.txs[self.rank].send(msg).unwrap();
         }
     }
 
     /// All-gather fission sites: returns the union in canonical (parent,
     /// seq) order, identical on every rank.
     pub(crate) fn allgather_sites(&self, local: Vec<Site>) -> Vec<Site> {
-        self.send_to_alive_peers(|| Message::Sites(self.rank as u32, local.clone()));
-        let mut all = local;
-        let mut received = 0;
-        let mut pending = Vec::new();
-        while received < self.n_alive_peers() {
-            match self.rx.recv().expect("peer alive") {
+        let mut all = Vec::new();
+        self.exchange(
+            || Message::Sites(self.rank as u32, local.clone()),
+            |msg| match msg {
                 Message::Sites(_, sites) => {
                     all.extend(sites);
-                    received += 1;
+                    None
                 }
-                other => pending.push(other), // not ours; re-deliver below
-            }
-        }
-        for msg in pending {
-            self.txs[self.rank].send(msg).unwrap();
-        }
+                other => Some(other),
+            },
+        );
+        all.extend(local);
         sort_sites(&mut all);
         all
     }
@@ -123,22 +131,18 @@ impl Comm {
     /// fold exactly (bitwise); unaligned boundaries still give a
     /// deterministic, partition-stable-to-rounding sum.
     pub(crate) fn allreduce_chunks(&self, local: Vec<(u64, Tallies)>) -> Tallies {
-        self.send_to_alive_peers(|| Message::Chunks(self.rank as u32, local.clone()));
-        let mut all = local;
-        let mut received = 0;
-        let mut pending = Vec::new();
-        while received < self.n_alive_peers() {
-            match self.rx.recv().expect("peer alive") {
+        let mut all = Vec::new();
+        self.exchange(
+            || Message::Chunks(self.rank as u32, local.clone()),
+            |msg| match msg {
                 Message::Chunks(_, chunks) => {
                     all.extend(chunks);
-                    received += 1;
+                    None
                 }
-                other => pending.push(other),
-            }
-        }
-        for msg in pending {
-            self.txs[self.rank].send(msg).unwrap();
-        }
+                other => Some(other),
+            },
+        );
+        all.extend(local);
         all.sort_by_key(|&(start, _)| start);
         Tallies::fold(all.iter().map(|(_, t)| t))
     }
@@ -146,26 +150,21 @@ impl Comm {
     /// Status barrier: gather every live rank's batch wall time and
     /// departure flag. Dead ranks report (0.0, false).
     pub(crate) fn allgather_status(&self, wall: f64, departing: bool) -> (Vec<f64>, Vec<bool>) {
-        self.send_to_alive_peers(|| Message::Status(self.rank as u32, wall, departing));
         let mut times = vec![0.0; self.size];
         let mut departs = vec![false; self.size];
         times[self.rank] = wall;
         departs[self.rank] = departing;
-        let mut received = 0;
-        let mut pending = Vec::new();
-        while received < self.n_alive_peers() {
-            match self.rx.recv().expect("peer alive") {
+        self.exchange(
+            || Message::Status(self.rank as u32, wall, departing),
+            |msg| match msg {
                 Message::Status(from, t, d) => {
                     times[from as usize] = t;
                     departs[from as usize] = d;
-                    received += 1;
+                    None
                 }
-                other => pending.push(other),
-            }
-        }
-        for msg in pending {
-            self.txs[self.rank].send(msg).unwrap();
-        }
+                other => Some(other),
+            },
+        );
         (times, departs)
     }
 }

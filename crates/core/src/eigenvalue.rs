@@ -275,13 +275,17 @@ mod tests {
             transport_batch(&problem, &sources, &streams, &req, &mut Threaded::ambient()).outcome
         };
         let (hist, evt) = (run(Algorithm::History), run(Algorithm::EventBanking));
-        assert_eq!(hist.tallies.segments, evt.tallies.segments);
-        assert_eq!(hist.tallies.collisions, evt.tallies.collisions);
-        assert_eq!(hist.tallies.absorptions, evt.tallies.absorptions);
+        let (h, e) = (&hist.tallies, &evt.tallies);
+        for (name, a, b) in [
+            ("track_length", h.track_length, e.track_length),
+            ("k_track", h.k_track, e.k_track),
+            ("k_collision", h.k_collision, e.k_collision),
+            ("k_absorption", h.k_absorption, e.k_absorption),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{name}: {a:e} vs {b:e}");
+        }
+        assert_eq!(h, e);
         assert_eq!(hist.sites, evt.sites);
-        let rel = (hist.tallies.k_track - evt.tallies.k_track).abs()
-            / hist.tallies.k_track.abs().max(1e-300);
-        assert!(rel < 1e-9);
     }
 
     #[test]

@@ -416,10 +416,9 @@ pub fn run_batches_observed(
 }
 
 /// Assemble the legacy [`EigenvalueResult`] view. The k statistics are
-/// computed over active entries of the *full* `k_history` with the exact
-/// summation order of [`crate::tally::BatchStats`], so a cold full run
-/// matches the legacy driver bit for bit and a resumed run matches the
-/// legacy resume path.
+/// computed over the active entries of the *full* `k_history`, summed in
+/// batch order, so a resumed run's mean and standard error match the
+/// uninterrupted run's bit for bit.
 #[allow(clippy::too_many_arguments)]
 fn assemble_result(
     batches: Vec<BatchResult>,

@@ -16,8 +16,9 @@
 //!    `mcs-rng`, the negate/divide 8-wide in [`F64x8`].
 //! 4. **Boundary** — ray-trace each particle (divergent; the stage the
 //!    paper notes resists vectorization).
-//! 5. **Advance/Collide** — move to the nearer of boundary/collision and
-//!    apply the shared collision physics.
+//! 5. **Advance/Collide** — the history loop's flight step
+//!    ([`crate::history`]'s `advance_collide`) per particle: move to the
+//!    nearer of boundary/collision and resolve the collision.
 //! 6. **Compact** — dead particles are squeezed out of the live list by
 //!    an in-place, order-stable scan.
 //!
@@ -35,7 +36,7 @@
 
 use std::time::{Duration, Instant};
 
-use mcs_geom::{Vec3, BOUNDARY_EPS};
+use mcs_geom::Vec3;
 use mcs_rng::batch::lcg_fill_uniform;
 use mcs_rng::Lcg63;
 use mcs_simd::F64x8;
@@ -43,13 +44,11 @@ use mcs_xs::MacroXs;
 use rayon::prelude::*;
 
 use crate::engine::ChunkedBatch;
-use crate::history::{TransportOutcome, CHUNK};
+use crate::history::{advance_collide, FlightScore, Step, TransportOutcome, CHUNK};
 use crate::mesh::{MeshSpec, MeshTally};
-use crate::particle::{sort_sites, ParticleBank, Site, SourceSite};
-use crate::physics::{apply_physics, collide, CollisionOutcome};
+use crate::particle::{sort_sites, Particle, ParticleBank, Site, SourceSite};
 use crate::problem::Problem;
 use crate::tally::Tallies;
-use crate::E_FLOOR;
 
 /// Counters describing how the event loop executed (fed to the device
 /// model for offload-time estimation).
@@ -244,15 +243,8 @@ pub(crate) fn run_event_batch(
     // history loop forms — and the canonical fold after the pipeline
     // reproduces the history loop's reduction tree exactly, so the float
     // tallies (and k-eff) are bit-identical between the two algorithms.
-    let mut tl_pp = vec![0.0f64; n];
-    let mut kt_pp = vec![0.0f64; n];
-    let mut kc_pp = vec![0.0f64; n];
-    let mut ka_pp = vec![0.0f64; n];
+    let mut scores = vec![FlightScore::default(); n];
     let mut qbufs = QueueBuffers::new(problem.n_materials());
-    let survival = !matches!(
-        problem.treatment,
-        crate::physics::AbsorptionTreatment::Analog
-    );
 
     while bank.n_alive() > 0 {
         stats.iterations += 1;
@@ -262,16 +254,8 @@ pub(crate) fn run_event_batch(
         {
             let t0 = Instant::now();
             let leaks: u64 = {
-                let ParticleBank {
-                    x,
-                    y,
-                    z,
-                    material,
-                    alive,
-                    ..
-                } = &mut bank;
-                let (x, y, z, alive) = (&x[..], &y[..], &z[..], &alive[..]);
-                let material = SyncSlice::new(material);
+                let (x, y, z, alive) = (&bank.x[..], &bank.y[..], &bank.z[..], &bank.alive[..]);
+                let material = SyncSlice::new(&mut bank.material);
                 let dead_w = SyncSlice::new(&mut dead);
                 alive
                     .par_chunks(CHUNK)
@@ -323,34 +307,24 @@ pub(crate) fn run_event_batch(
             let rng = SyncSlice::new(&mut bank.rng);
             let xs_w = SyncSlice::new(&mut xs_buf);
             qbufs.tasks.par_iter().for_each(|t| {
-                let mat_id = t.mat;
                 let idxs = &queued[t.start as usize..t.end as usize];
-                let mat = &problem.materials[mat_id as usize];
+                let mat = &problem.materials[t.mat as usize];
                 let mut base = [MacroXs::default(); CHUNK];
                 let m = idxs.len();
                 problem
                     .xs
                     .batch_macro_xs_simd_indexed(mat, energy, idxs, &mut base[..m]);
-                for (k, &iu) in idxs.iter().enumerate() {
+                for (&iu, xs) in idxs.iter().zip(&mut base[..m]) {
                     let i = iu as usize;
-                    let mut xs = base[k];
                     // SAFETY: buckets partition the live list, chunks
                     // partition buckets, so index `i` belongs to this
                     // task alone.
-                    if problem.physics.any() {
-                        let mut r = unsafe { rng.get(i) };
-                        apply_physics(
-                            &problem.xs,
-                            mat,
-                            energy[i],
-                            &problem.physics,
-                            &problem.slots[mat_id as usize],
-                            &mut r,
-                            &mut xs,
-                        );
-                        unsafe { rng.set(i, r) };
+                    unsafe {
+                        let mut r = rng.get(i);
+                        problem.apply_physics(t.mat, energy[i], &mut r, xs);
+                        rng.set(i, r);
+                        xs_w.set(i, *xs);
                     }
-                    unsafe { xs_w.set(i, xs) };
                 }
             });
             stage_time[1] += t0.elapsed();
@@ -424,159 +398,84 @@ pub(crate) fn run_event_batch(
         }
 
         // --- Stage 5: advance / collide --------------------------------
-        // Each chunk accumulates its own (integer tallies, sites, mesh)
-        // partial; partials merge in chunk order below, so results are
-        // invariant to the thread count (the history loop's scheme).
-        // Float tallies bypass the chunk partials entirely: they land in
-        // per-particle slots and fold canonically after the pipeline.
+        // The history loop's flight step on a `Particle` loaded from the
+        // bank columns. Integer tallies, sites and mesh scores form one
+        // partial per chunk, merged in chunk order below; float tallies
+        // land in per-particle slots and fold canonically after the
+        // pipeline.
         {
             let t0 = Instant::now();
-            let partials: Vec<(Tallies, Vec<Site>, Option<MeshTally>)> = {
-                let ParticleBank {
-                    x,
-                    y,
-                    z,
-                    u,
-                    v,
-                    w,
-                    energy,
-                    weight,
-                    rng,
-                    material,
-                    sites_banked,
-                    alive,
-                } = &mut bank;
-                let alive = &alive[..];
-                let material = &material[..];
-                let xw = SyncSlice::new(x);
-                let yw = SyncSlice::new(y);
-                let zw = SyncSlice::new(z);
-                let uw = SyncSlice::new(u);
-                let vw = SyncSlice::new(v);
-                let ww = SyncSlice::new(w);
-                let ew = SyncSlice::new(energy);
-                let wtw = SyncSlice::new(weight);
-                let rngw = SyncSlice::new(rng);
-                let sbw = SyncSlice::new(sites_banked);
-                let dead_w = SyncSlice::new(&mut dead);
-                let xs_all = &xs_buf[..];
-                let dc = &d_coll[..];
-                let db = &d_bound[..];
-                let tlw = SyncSlice::new(&mut tl_pp);
-                let ktw = SyncSlice::new(&mut kt_pp);
-                let kcw = SyncSlice::new(&mut kc_pp);
-                let kaw = SyncSlice::new(&mut ka_pp);
-
-                alive
-                    .par_chunks(CHUNK)
-                    .map(|chunk| {
-                        let mut t = Tallies::default();
-                        let mut sites: Vec<Site> = Vec::new();
-                        let mut pmesh = mesh_spec.map(MeshTally::new);
-                        for &iu in chunk {
-                            let i = iu as usize;
-                            let xsi = &xs_all[i];
-                            // SAFETY (all accesses below): disjoint chunks
-                            // of unique live indices — this task is the
-                            // only one touching particle `i`.
-                            let pos = unsafe { Vec3::new(xw.get(i), yw.get(i), zw.get(i)) };
-                            let dir = unsafe { Vec3::new(uw.get(i), vw.get(i), ww.get(i)) };
-                            let wt_before = unsafe { wtw.get(i) };
-                            if db[i] <= dc[i] {
-                                let d = db[i];
-                                unsafe {
-                                    tlw.set(i, tlw.get(i) + d);
-                                    ktw.set(i, ktw.get(i) + wt_before * d * xsi.nu_fission);
-                                }
-                                if let Some(m) = pmesh.as_mut() {
-                                    m.score_track(pos, dir, d);
-                                }
-                                let np = pos + dir * (d + BOUNDARY_EPS);
-                                unsafe {
-                                    xw.set(i, np.x);
-                                    yw.set(i, np.y);
-                                    zw.set(i, np.z);
-                                }
-                                continue;
+            let (alive, material) = (&bank.alive[..], &bank.material[..]);
+            let xw = SyncSlice::new(&mut bank.x);
+            let yw = SyncSlice::new(&mut bank.y);
+            let zw = SyncSlice::new(&mut bank.z);
+            let uw = SyncSlice::new(&mut bank.u);
+            let vw = SyncSlice::new(&mut bank.v);
+            let ww = SyncSlice::new(&mut bank.w);
+            let ew = SyncSlice::new(&mut bank.energy);
+            let wtw = SyncSlice::new(&mut bank.weight);
+            let rngw = SyncSlice::new(&mut bank.rng);
+            let sbw = SyncSlice::new(&mut bank.sites_banked);
+            let dead_w = SyncSlice::new(&mut dead);
+            let score_w = SyncSlice::new(&mut scores);
+            let partials: Vec<(Tallies, Vec<Site>, Option<MeshTally>)> = alive
+                .par_chunks(CHUNK)
+                .map(|chunk| {
+                    let mut t = Tallies::default();
+                    let mut sites = Vec::new();
+                    let mut pmesh = mesh_spec.map(MeshTally::new);
+                    for &iu in chunk {
+                        let i = iu as usize;
+                        // SAFETY (all accesses below): disjoint chunks of
+                        // unique live indices — this task is the only one
+                        // touching particle `i`.
+                        let mut score = unsafe { score_w.get(i) };
+                        let mut p = unsafe {
+                            Particle {
+                                pos: Vec3::new(xw.get(i), yw.get(i), zw.get(i)),
+                                dir: Vec3::new(uw.get(i), vw.get(i), ww.get(i)),
+                                energy: ew.get(i),
+                                weight: wtw.get(i),
+                                rng: rngw.get(i),
+                                index: iu,
+                                sites_banked: sbw.get(i),
                             }
-                            let d = dc[i];
-                            unsafe {
-                                tlw.set(i, tlw.get(i) + d);
-                                ktw.set(i, ktw.get(i) + wt_before * d * xsi.nu_fission);
+                        };
+                        let step = advance_collide(
+                            problem,
+                            &mut p,
+                            material[i],
+                            &xs_buf[i],
+                            d_coll[i],
+                            d_bound[i],
+                            &mut score,
+                            &mut t,
+                            &mut sites,
+                            pmesh.as_mut(),
+                            None,
+                            None,
+                        );
+                        unsafe {
+                            score_w.set(i, score);
+                            xw.set(i, p.pos.x);
+                            yw.set(i, p.pos.y);
+                            zw.set(i, p.pos.z);
+                            if step != Step::Crossed {
+                                uw.set(i, p.dir.x);
+                                vw.set(i, p.dir.y);
+                                ww.set(i, p.dir.z);
+                                ew.set(i, p.energy);
+                                wtw.set(i, p.weight);
+                                rngw.set(i, p.rng);
+                                sbw.set(i, p.sites_banked);
                             }
-                            if let Some(m) = pmesh.as_mut() {
-                                m.score_track(pos, dir, d);
-                            }
-                            let new_pos = pos + dir * d;
-                            unsafe {
-                                xw.set(i, new_pos.x);
-                                yw.set(i, new_pos.y);
-                                zw.set(i, new_pos.z);
-                            }
-                            t.record_collision(material[i]);
-                            unsafe {
-                                kcw.set(i, kcw.get(i) + wt_before * xsi.nu_fission / xsi.total);
-                            }
-                            if survival && xsi.absorption > 0.0 {
-                                let ka = wt_before
-                                    * (xsi.absorption / xsi.total)
-                                    * (xsi.nu_fission / xsi.absorption);
-                                unsafe { kaw.set(i, kaw.get(i) + ka) };
-                            }
-
-                            let mat_id = material[i] as usize;
-                            let mut r = unsafe { rngw.get(i) };
-                            let mut dirm = dir;
-                            let mut e = unsafe { ew.get(i) };
-                            let mut wt = wt_before;
-                            let mut seq = unsafe { sbw.get(i) };
-                            let outcome = collide(
-                                &problem.xs,
-                                &problem.materials[mat_id],
-                                &problem.physics,
-                                &problem.slots[mat_id],
-                                new_pos,
-                                &mut dirm,
-                                &mut e,
-                                &mut wt,
-                                problem.treatment,
-                                xsi,
-                                &mut r,
-                                iu,
-                                &mut seq,
-                                &mut sites,
-                            );
-                            unsafe {
-                                rngw.set(i, r);
-                                uw.set(i, dirm.x);
-                                vw.set(i, dirm.y);
-                                ww.set(i, dirm.z);
-                                ew.set(i, e);
-                                wtw.set(i, wt);
-                                sbw.set(i, seq);
-                            }
-
-                            match outcome {
-                                CollisionOutcome::Absorbed { fission } => {
-                                    t.record_absorption(material[i], fission);
-                                    if !survival && xsi.absorption > 0.0 {
-                                        let ka = xsi.nu_fission / xsi.absorption;
-                                        unsafe { kaw.set(i, kaw.get(i) + ka) };
-                                    }
-                                    unsafe { dead_w.set(i, true) };
-                                }
-                                CollisionOutcome::Scattered => {
-                                    if e < E_FLOOR {
-                                        t.record_absorption(material[i], false);
-                                        unsafe { dead_w.set(i, true) };
-                                    }
-                                }
-                            }
+                            // A live particle's flag is `false`.
+                            dead_w.set(i, step == Step::Died);
                         }
-                        (t, sites, pmesh)
-                    })
-                    .collect()
-            };
+                    }
+                    (t, sites, pmesh)
+                })
+                .collect();
             for (t, s, pm) in partials {
                 out.tallies.merge(&t);
                 out.sites.extend(s);
@@ -599,16 +498,14 @@ pub(crate) fn run_event_batch(
     sort_sites(&mut out.sites);
     stats.stage_seconds = stage_time.map(|t| t.as_secs_f64());
 
-    let mut chunk_tallies: Vec<Tallies> = (0..n.div_ceil(CHUNK))
-        .map(|k| {
-            let slots = k * CHUNK..((k + 1) * CHUNK).min(n);
-            Tallies {
-                track_length: tl_pp[slots.clone()].iter().sum(),
-                k_track: kt_pp[slots.clone()].iter().sum(),
-                k_collision: kc_pp[slots.clone()].iter().sum(),
-                k_absorption: ka_pp[slots].iter().sum(),
-                ..Tallies::default()
-            }
+    let mut chunk_tallies: Vec<Tallies> = scores
+        .chunks(CHUNK)
+        .map(|s| Tallies {
+            track_length: s.iter().map(|f| f.track_length).sum(),
+            k_track: s.iter().map(|f| f.k_track).sum(),
+            k_collision: s.iter().map(|f| f.k_collision).sum(),
+            k_absorption: s.iter().map(|f| f.k_absorption).sum(),
+            ..Tallies::default()
         })
         .collect();
     if let Some(first) = chunk_tallies.first_mut() {

@@ -71,20 +71,6 @@ impl FixedSourceResult {
     }
 }
 
-fn emit(problem: &Problem, def: &SourceDef, index: usize, n: usize) -> SourceSite {
-    match def {
-        SourceDef::Point { pos, energy } => SourceSite {
-            pos: *pos,
-            energy: *energy,
-        },
-        SourceDef::FuelWatt => {
-            // Deterministic: sample the whole batch once per call site.
-            // (The runner pre-samples; this arm is unreachable there.)
-            problem.sample_initial_source(n, 0xF1ED)[index]
-        }
-    }
-}
-
 /// The fixed-source chain runner ([`crate::engine`]'s fixed-source
 /// dispatch target; thread-local policies wrap it in their pool).
 pub(crate) fn run_fixed_source_impl(
@@ -92,39 +78,34 @@ pub(crate) fn run_fixed_source_impl(
     settings: &FixedSourceSettings,
 ) -> FixedSourceResult {
     let n = settings.particles;
-    // Pre-sample fuel-Watt sources once (deterministic); point sources
-    // are trivially per-index.
-    let presampled = match settings.source {
-        SourceDef::FuelWatt => Some(problem.sample_initial_source(n, 0xF1ED)),
-        _ => None,
+    // Fuel-Watt sources are pre-sampled once (deterministic); a point
+    // source emits the same site for every index.
+    let sources = match settings.source {
+        SourceDef::Point { pos, energy } => vec![SourceSite { pos, energy }; n],
+        SourceDef::FuelWatt => problem.sample_initial_source(n, 0xF1ED),
     };
 
-    let partials: Vec<(Tallies, u64, u64, SpectrumTally)> = (0..n)
-        .collect::<Vec<_>>()
+    let partials: Vec<(Tallies, u64, u64, SpectrumTally)> = sources
         .par_chunks(CHUNK)
-        .map(|chunk| {
+        .enumerate()
+        .map(|(k, chunk)| {
             let mut tallies = Tallies::default();
             let mut progeny = 0u64;
             let mut truncated = 0u64;
             let mut leak_spectrum = SpectrumTally::standard();
-            for &i in chunk {
-                let site = match &presampled {
-                    Some(v) => v[i],
-                    None => emit(problem, &settings.source, i, n),
-                };
+            for (j, &site) in chunk.iter().enumerate() {
+                let i = k * CHUNK + j;
                 // Source particle stream = global index; progeny use
                 // sub-streams derived from (index, birth order).
                 let rng =
                     Lcg63::for_history(problem.seed ^ 0xF15D, i as u64, mcs_rng::STREAM_STRIDE);
                 let mut stack: Vec<(SourceSite, u32)> = vec![(site, 0)];
                 let mut born = 0u32;
-                let mut generations = 0usize;
                 while let Some((s, gen)) = stack.pop() {
                     if gen as usize >= settings.max_chain {
                         truncated += 1;
                         continue;
                     }
-                    generations = generations.max(gen as usize);
                     // Each chain member gets a distinct sub-stream.
                     let member_rng = rng.skipped(born as u64 * 211);
                     born += 1;
@@ -151,27 +132,20 @@ pub(crate) fn run_fixed_source_impl(
                         ));
                     }
                 }
-                let _ = generations;
             }
             (tallies, progeny, truncated, leak_spectrum)
         })
         .collect();
 
-    let mut tallies = Tallies::default();
-    let mut progeny = 0;
-    let mut truncated = 0;
     let mut leak_spectrum = SpectrumTally::standard();
-    for (t, p, tr, ls) in partials {
-        tallies.merge(&t);
-        progeny += p;
-        truncated += tr;
-        leak_spectrum.merge(&ls);
+    for (.., ls) in &partials {
+        leak_spectrum.merge(ls);
     }
     FixedSourceResult {
-        tallies,
+        tallies: Tallies::fold(partials.iter().map(|(t, ..)| t)),
         source_particles: n as u64,
-        progeny,
-        truncated_chains: truncated,
+        progeny: partials.iter().map(|p| p.1).sum(),
+        truncated_chains: partials.iter().map(|p| p.2).sum(),
         leak_spectrum,
     }
 }

@@ -5,20 +5,17 @@
 //! control flow diverges independently (§I). Parallelism over particles
 //! uses fixed-size chunks folded in chunk order, so results are bitwise
 //! identical for any thread count.
-//!
-//! The `run_histories_*` driver zoo is collapsed into one parameterized
-//! batch function consumed by `mcs_core::engine`; the old entry points
-//! are gone — go through the engine.
 
 use mcs_geom::BOUNDARY_EPS;
 use mcs_prof::ThreadProfiler;
 use mcs_rng::Lcg63;
+use mcs_xs::MacroXs;
 use rayon::prelude::*;
 
 use crate::engine::ChunkedBatch;
 use crate::mesh::{MeshSpec, MeshTally};
 use crate::particle::{Particle, Site, SourceSite};
-use crate::physics::{collide, CollisionOutcome};
+use crate::physics::{collide, AbsorptionTreatment, CollisionOutcome};
 use crate::problem::Problem;
 use crate::spectrum::SpectrumTally;
 use crate::tally::Tallies;
@@ -40,57 +37,139 @@ pub const CHUNK: usize = 256;
 /// problem dies in well under a thousand segments).
 const MAX_SEGMENTS: usize = 2_000_000;
 
-/// Track one particle to completion, accumulating tallies and fission
-/// sites. `prof` (when present) attributes time to the same routine names
-/// the paper's Fig. 4 profile shows.
-pub fn transport_particle(
-    problem: &Problem,
-    p: &mut Particle,
-    tallies: &mut Tallies,
-    sites: &mut Vec<Site>,
-    prof: Option<&ThreadProfiler>,
-) {
-    transport_particle_full(problem, p, tallies, sites, prof, None, None, None)
+/// The four float sums of one history, in segment order. The history loop
+/// adds it to its chunk's tallies when the history ends; the event
+/// pipeline keeps one per particle and folds them per CHUNK block — the
+/// same summation tree.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FlightScore {
+    pub track_length: f64,
+    pub k_track: f64,
+    pub k_collision: f64,
+    pub k_absorption: f64,
 }
 
-/// The fully-instrumented history loop: optional mesh tally and optional
-/// energy-spectrum tally scored along every flight segment, plus an
-/// optional leakage spectrum scored at escape (the shielding output of
-/// fixed-source runs).
+impl FlightScore {
+    fn add_to(&self, t: &mut Tallies) {
+        t.track_length += self.track_length;
+        t.k_track += self.k_track;
+        t.k_collision += self.k_collision;
+        t.k_absorption += self.k_absorption;
+    }
+}
+
+/// Where a flight step left its particle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Moved across a surface; only `pos` changed.
+    Crossed,
+    /// Collided and scattered; it flies on.
+    Collided,
+    /// Absorbed, or scattered below [`E_FLOOR`]; the history ends.
+    Died,
+}
+
+/// One flight step, once the cross section and both distances are known:
+/// score the track, move to the nearer of boundary and collision, and at
+/// a collision score the k estimators and resolve it with [`collide`].
+/// The history loop and the event pipeline's advance/collide stage both
+/// call it, so their trajectories and tallies are bit-identical. Integer
+/// counts go to `tallies`, float sums to `score`, fission sites to
+/// `sites` (sequenced by `p.sites_banked`).
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn advance_collide(
+    problem: &Problem,
+    p: &mut Particle,
+    mat: u32,
+    xs: &MacroXs,
+    d_coll: f64,
+    d_bound: f64,
+    score: &mut FlightScore,
+    tallies: &mut Tallies,
+    sites: &mut Vec<Site>,
+    mesh: Option<&mut MeshTally>,
+    spectrum: Option<&mut SpectrumTally>,
+    prof: Option<&ThreadProfiler>,
+) -> Step {
+    let crossed = d_bound <= d_coll;
+    let d = if crossed { d_bound } else { d_coll };
+    score.track_length += d;
+    score.k_track += p.weight * d * xs.nu_fission;
+    if let Some(m) = mesh {
+        m.score_track(p.pos, p.dir, d);
+    }
+    if let Some(sp) = spectrum {
+        sp.score(p.energy, p.weight * d);
+    }
+    if crossed {
+        p.pos += p.dir * (d + BOUNDARY_EPS);
+        return Step::Crossed;
+    }
+
+    p.pos += p.dir * d;
+    tallies.record_collision(mat);
+    let w_before = p.weight;
+    score.k_collision += w_before * xs.nu_fission / xs.total;
+    let survival = !matches!(problem.treatment, AbsorptionTreatment::Analog);
+    if survival && xs.absorption > 0.0 {
+        // Implicit-capture absorption estimator: the weight absorbed
+        // this collision times ν Σ_f / Σ_a.
+        score.k_absorption +=
+            w_before * (xs.absorption / xs.total) * (xs.nu_fission / xs.absorption);
+    }
+
+    let outcome = {
+        let _g = prof.map(|t| t.enter("sample_reaction"));
+        collide(
+            &problem.xs,
+            &problem.materials[mat as usize],
+            &problem.physics,
+            &problem.slots[mat as usize],
+            p.pos,
+            &mut p.dir,
+            &mut p.energy,
+            &mut p.weight,
+            problem.treatment,
+            xs,
+            &mut p.rng,
+            p.index,
+            &mut p.sites_banked,
+            sites,
+        )
+    };
+    match outcome {
+        CollisionOutcome::Absorbed { fission } => {
+            tallies.record_absorption(mat, fission);
+            if !survival && xs.absorption > 0.0 {
+                score.k_absorption += xs.nu_fission / xs.absorption;
+            }
+            Step::Died
+        }
+        CollisionOutcome::Scattered if p.energy < E_FLOOR => {
+            // Thermalized below the data floor: terminate as capture.
+            tallies.record_absorption(mat, false);
+            Step::Died
+        }
+        CollisionOutcome::Scattered => Step::Collided,
+    }
+}
+
+/// Track one particle to completion, accumulating tallies and fission
+/// sites: an optional mesh tally and energy-spectrum tally scored along
+/// every flight segment, plus an optional leakage spectrum scored at
+/// escape (the shielding output of fixed-source runs). `prof` (when
+/// present) attributes time to the same routine names the paper's Fig. 4
+/// profile shows.
 ///
-/// Float tallies accumulate into a per-particle partial that is folded
-/// into `tallies` once the history ends. This fixes a canonical
+/// Float tallies accumulate into a per-history [`FlightScore`] that is
+/// added to `tallies` once the history ends. This fixes a canonical
 /// summation tree — per-particle in segment order, then particles in
 /// index order — that the event driver reproduces exactly, making the
 /// two transport algorithms' float tallies (and therefore k-eff)
 /// bit-identical, not merely close.
 #[allow(clippy::too_many_arguments)]
-pub fn transport_particle_full(
-    problem: &Problem,
-    p: &mut Particle,
-    tallies: &mut Tallies,
-    sites: &mut Vec<Site>,
-    prof: Option<&ThreadProfiler>,
-    mesh: Option<&mut MeshTally>,
-    spectrum: Option<&mut SpectrumTally>,
-    leak_spectrum: Option<&mut SpectrumTally>,
-) {
-    let mut per_particle = Tallies::default();
-    transport_particle_inner(
-        problem,
-        p,
-        &mut per_particle,
-        sites,
-        prof,
-        mesh,
-        spectrum,
-        leak_spectrum,
-    );
-    tallies.merge(&per_particle);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn transport_particle_inner(
+pub(crate) fn transport_particle_full(
     problem: &Problem,
     p: &mut Particle,
     tallies: &mut Tallies,
@@ -98,18 +177,18 @@ fn transport_particle_inner(
     prof: Option<&ThreadProfiler>,
     mut mesh: Option<&mut MeshTally>,
     mut spectrum: Option<&mut SpectrumTally>,
-    mut leak_spectrum: Option<&mut SpectrumTally>,
+    leak_spectrum: Option<&mut SpectrumTally>,
 ) {
     tallies.n_particles += 1;
-    let mut seq = p.sites_banked;
+    let mut score = FlightScore::default();
     for _ in 0..MAX_SEGMENTS {
         // Locate.
         let Some(cell) = problem.find(p.pos) else {
             tallies.leaks += 1;
-            if let Some(ls) = leak_spectrum.as_deref_mut() {
+            if let Some(ls) = leak_spectrum {
                 ls.score(p.energy, p.weight);
             }
-            return;
+            return score.add_to(tallies);
         };
 
         // Cross-section lookup (the bottleneck routine). Uses the
@@ -130,80 +209,22 @@ fn transport_particle_inner(
             problem.distance_to_boundary(p.pos, p.dir)
         };
 
-        if d_bound <= d_coll {
-            // Surface crossing.
-            tallies.track_length += d_bound;
-            tallies.k_track += p.weight * d_bound * xs.nu_fission;
-            if let Some(m) = mesh.as_deref_mut() {
-                m.score_track(p.pos, p.dir, d_bound);
-            }
-            if let Some(sp) = spectrum.as_deref_mut() {
-                sp.score(p.energy, p.weight * d_bound);
-            }
-            p.pos += p.dir * (d_bound + BOUNDARY_EPS);
-            continue;
-        }
-
-        // Collision.
-        tallies.track_length += d_coll;
-        tallies.k_track += p.weight * d_coll * xs.nu_fission;
-        if let Some(m) = mesh.as_deref_mut() {
-            m.score_track(p.pos, p.dir, d_coll);
-        }
-        if let Some(sp) = spectrum.as_deref_mut() {
-            sp.score(p.energy, p.weight * d_coll);
-        }
-        p.pos += p.dir * d_coll;
-        tallies.record_collision(cell.material);
-        let w_before = p.weight;
-        tallies.k_collision += w_before * xs.nu_fission / xs.total;
-        let survival = !matches!(
-            problem.treatment,
-            crate::physics::AbsorptionTreatment::Analog
+        let step = advance_collide(
+            problem,
+            p,
+            cell.material,
+            &xs,
+            d_coll,
+            d_bound,
+            &mut score,
+            tallies,
+            sites,
+            mesh.as_deref_mut(),
+            spectrum.as_deref_mut(),
+            prof,
         );
-        if survival && xs.absorption > 0.0 {
-            // Implicit-capture absorption estimator: the weight absorbed
-            // this collision times ν Σ_f / Σ_a.
-            tallies.k_absorption +=
-                w_before * (xs.absorption / xs.total) * (xs.nu_fission / xs.absorption);
-        }
-
-        let outcome = {
-            let _g = prof.map(|t| t.enter("sample_reaction"));
-            collide(
-                &problem.xs,
-                &problem.materials[cell.material as usize],
-                &problem.physics,
-                &problem.slots[cell.material as usize],
-                p.pos,
-                &mut p.dir,
-                &mut p.energy,
-                &mut p.weight,
-                problem.treatment,
-                &xs,
-                &mut p.rng,
-                p.index,
-                &mut seq,
-                sites,
-            )
-        };
-        match outcome {
-            CollisionOutcome::Absorbed { fission } => {
-                tallies.record_absorption(cell.material, fission);
-                if !survival && xs.absorption > 0.0 {
-                    tallies.k_absorption += xs.nu_fission / xs.absorption;
-                }
-                p.sites_banked = seq;
-                return;
-            }
-            CollisionOutcome::Scattered => {
-                if p.energy < E_FLOOR {
-                    // Thermalized below the data floor: terminate as capture.
-                    tallies.record_absorption(cell.material, false);
-                    p.sites_banked = seq;
-                    return;
-                }
-            }
+        if step == Step::Died {
+            return score.add_to(tallies);
         }
     }
     panic!("particle exceeded {MAX_SEGMENTS} flight segments");

@@ -166,35 +166,11 @@ impl ParticleBank {
         Vec3::new(self.u[i], self.v[i], self.w[i])
     }
 
-    /// Remove the given (sorted, deduplicated) live-list positions from
-    /// the alive list, preserving the order of the survivors. `dead_slots`
-    /// are positions *within* `alive`, not particle indices.
-    ///
-    /// Compaction is a single in-place forward scan that slides survivors
-    /// left over the holes, so it allocates nothing and the live list
-    /// stays sorted whenever it started sorted.
-    pub fn compact(&mut self, dead_slots: &[usize]) {
-        if dead_slots.is_empty() {
-            return;
-        }
-        let mut write = dead_slots[0];
-        let mut d = 1usize;
-        for read in write + 1..self.alive.len() {
-            if d < dead_slots.len() && dead_slots[d] == read {
-                d += 1;
-            } else {
-                self.alive[write] = self.alive[read];
-                write += 1;
-            }
-        }
-        self.alive.truncate(write);
-    }
-
     /// Drop live-list entries whose particle is flagged in `dead`
     /// (indexed by particle, not by live-list position), preserving
-    /// order — the event pipeline's compaction stage. Same in-place
-    /// swap-scan as [`ParticleBank::compact`]: no allocation, and a
-    /// sorted live list stays sorted.
+    /// order — the event pipeline's compaction stage. A single in-place
+    /// forward scan slides survivors left over the holes, so it allocates
+    /// nothing and a sorted live list stays sorted.
     pub fn retain_alive(&mut self, dead: &[bool]) {
         let mut write = 0usize;
         for read in 0..self.alive.len() {
@@ -241,59 +217,37 @@ mod tests {
     }
 
     #[test]
-    fn compact_removes_listed_slots() {
+    fn retain_alive_removes_flagged_particles() {
         let (sites, streams) = sources(6);
         let mut bank = ParticleBank::from_sources(&sites, &streams);
-        bank.compact(&[1, 4]); // remove particles 1 and 4
+        let mut dead = vec![false; 6];
+        // Two rounds, as the event loop does: flags are never cleared, so
+        // the second round sees the first round's stale flags too.
+        dead[1] = true;
+        dead[4] = true;
+        bank.retain_alive(&dead);
         assert_eq!(bank.alive, vec![0, 2, 3, 5]);
-        bank.compact(&[0, 3]); // remove particles 0 and 5
+        dead[0] = true;
+        dead[5] = true;
+        bank.retain_alive(&dead);
         assert_eq!(bank.alive, vec![2, 3]);
-        bank.compact(&[]);
+        bank.retain_alive(&dead);
         assert_eq!(bank.alive, vec![2, 3]);
     }
 
     #[test]
-    fn compact_is_in_place_and_order_stable() {
+    fn retain_alive_is_in_place_and_order_stable() {
         let (sites, streams) = sources(64);
         let mut bank = ParticleBank::from_sources(&sites, &streams);
         let ptr_before = bank.alive.as_ptr();
         let cap_before = bank.alive.capacity();
-        bank.compact(&(0..64).step_by(3).collect::<Vec<_>>());
-        assert_eq!(bank.alive.as_ptr(), ptr_before, "compact reallocated");
+        let dead: Vec<bool> = (0..64).map(|i| i % 3 == 0).collect();
+        bank.retain_alive(&dead);
+        assert_eq!(bank.alive.as_ptr(), ptr_before, "retain_alive reallocated");
         assert_eq!(bank.alive.capacity(), cap_before);
+        assert_eq!(bank.n_alive(), 42);
         // Survivors keep ascending order.
         assert!(bank.alive.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn retain_alive_matches_compact() {
-        let (sites, streams) = sources(40);
-        let mut by_slots = ParticleBank::from_sources(&sites, &streams);
-        let mut by_flags = ParticleBank::from_sources(&sites, &streams);
-        let mut dead = vec![false; 40];
-        // Kill a scattered set, in two rounds (as the event loop does).
-        for round in 0..2 {
-            let doomed: Vec<u32> = by_slots
-                .alive
-                .iter()
-                .copied()
-                .filter(|&i| (i as usize + round).is_multiple_of(3))
-                .collect();
-            let slots: Vec<usize> = by_slots
-                .alive
-                .iter()
-                .enumerate()
-                .filter(|(_, i)| doomed.contains(i))
-                .map(|(s, _)| s)
-                .collect();
-            by_slots.compact(&slots);
-            for &i in &doomed {
-                dead[i as usize] = true;
-            }
-            by_flags.retain_alive(&dead);
-            assert_eq!(by_slots.alive, by_flags.alive, "round {round}");
-        }
-        assert!(!by_slots.alive.is_empty());
     }
 
     #[test]

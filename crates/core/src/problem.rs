@@ -219,19 +219,8 @@ impl Problem {
     /// (the history path's `calculate_xs()`).
     #[inline]
     pub fn macro_xs(&self, mat_id: u32, e: f64, rng: &mut Lcg63) -> MacroXs {
-        let mat = &self.materials[mat_id as usize];
-        let mut xs = self.xs.macro_xs(mat, e);
-        if self.physics.any() {
-            apply_physics(
-                &self.xs,
-                mat,
-                e,
-                &self.physics,
-                &self.slots[mat_id as usize],
-                rng,
-                &mut xs,
-            );
-        }
+        let mut xs = self.xs.macro_xs(&self.materials[mat_id as usize], e);
+        self.apply_physics(mat_id, e, rng, &mut xs);
         xs
     }
 
@@ -240,20 +229,27 @@ impl Problem {
     /// [`Problem::macro_xs`].
     #[inline]
     pub fn macro_xs_vector(&self, mat_id: u32, e: f64, rng: &mut Lcg63) -> MacroXs {
-        let mat = &self.materials[mat_id as usize];
-        let mut xs = self.xs.macro_xs_simd(mat, e);
+        let mut xs = self.xs.macro_xs_simd(&self.materials[mat_id as usize], e);
+        self.apply_physics(mat_id, e, rng, &mut xs);
+        xs
+    }
+
+    /// Apply the optional physics corrections (URR band sampling,
+    /// S(α,β)) to material `mat_id`'s `xs` at energy `e`, drawing from
+    /// `rng` — the step every lookup path finishes with.
+    #[inline]
+    pub(crate) fn apply_physics(&self, mat_id: u32, e: f64, rng: &mut Lcg63, xs: &mut MacroXs) {
         if self.physics.any() {
             apply_physics(
                 &self.xs,
-                mat,
+                &self.materials[mat_id as usize],
                 e,
                 &self.physics,
                 &self.slots[mat_id as usize],
                 rng,
-                &mut xs,
+                xs,
             );
         }
-        xs
     }
 
     /// Sample `n` initial source sites: positions uniform over fuel

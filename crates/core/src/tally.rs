@@ -1,4 +1,4 @@
-//! Global tallies and batch statistics.
+//! Global tallies.
 //!
 //! The paper's experiments collect only OpenMC's default global tallies
 //! (total collisions, absorptions, and track-lengths, §III-B1); the same
@@ -132,38 +132,6 @@ impl Tallies {
     }
 }
 
-/// Online mean/variance accumulator for per-batch scalars (k estimates,
-/// entropy, rates).
-#[derive(Debug, Clone, Default)]
-pub struct BatchStats {
-    values: Vec<f64>,
-}
-
-impl BatchStats {
-    /// Record one batch value.
-    pub fn push(&mut self, v: f64) {
-        self.values.push(v);
-    }
-
-    /// Number of recorded batches.
-    pub fn n(&self) -> usize {
-        self.values.len()
-    }
-
-    /// All recorded values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().sum::<f64>() / self.values.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,19 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_stats_mean() {
-        let mut s = BatchStats::default();
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            s.push(v);
-        }
-        assert_eq!(s.n(), 4);
-        assert!((s.mean() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_stats_are_safe() {
-        let s = BatchStats::default();
-        assert_eq!(s.mean(), 0.0);
         let t = Tallies::default();
         assert_eq!(t.k_track_estimate(), 0.0);
     }

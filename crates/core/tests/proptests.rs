@@ -26,16 +26,20 @@ proptest! {
         dead_mask in prop::collection::vec(any::<bool>(), 1..64),
     ) {
         let mut bank = bank_of(n);
-        let dead: Vec<usize> = (0..n)
-            .filter(|&i| *dead_mask.get(i).unwrap_or(&false))
+        let dead: Vec<bool> = (0..n)
+            .map(|i| *dead_mask.get(i).unwrap_or(&false))
             .collect();
         let expected: Vec<u32> = (0..n as u32)
-            .filter(|&i| !dead.contains(&(i as usize)))
+            .filter(|&i| !dead[i as usize])
             .collect();
-        bank.compact(&dead);
+        let (ptr, cap) = (bank.alive.as_ptr(), bank.alive.capacity());
+        bank.retain_alive(&dead);
         prop_assert_eq!(&bank.alive, &expected);
-        // Idempotent on an empty dead list.
-        bank.compact(&[]);
+        // In place: no reallocation.
+        prop_assert_eq!(bank.alive.as_ptr(), ptr);
+        prop_assert_eq!(bank.alive.capacity(), cap);
+        // Idempotent: the same flags remove nothing more.
+        bank.retain_alive(&dead);
         prop_assert_eq!(&bank.alive, &expected);
     }
 
@@ -45,10 +49,11 @@ proptest! {
         kills in prop::collection::vec(0usize..32, 0..16),
     ) {
         let mut bank = bank_of(n);
+        let mut dead = vec![false; n];
         for &k in &kills {
             if bank.n_alive() == 0 { break; }
-            let slot = k % bank.n_alive();
-            bank.compact(&[slot]);
+            dead[bank.alive[k % bank.n_alive()] as usize] = true;
+            bank.retain_alive(&dead);
         }
         let mut seen = bank.alive.clone();
         seen.sort_unstable();
