@@ -7,14 +7,15 @@
 //! so interleaved streams can be consumed selectively.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 
 use mcs_core::engine::RunPlan;
 
 use crate::protocol::{
-    Priority, ProtoError, RejectReason, Request, Response, Source, StatsSnapshot,
+    read_frame, FrameError, Priority, ProtoError, RejectReason, Request, Response, Source,
+    StatsSnapshot,
 };
 use crate::result::ServedResult;
 
@@ -54,6 +55,8 @@ impl From<std::io::Error> for ClientError {
 pub struct Client {
     writer: BufWriter<TcpStream>,
     reader: BufReader<TcpStream>,
+    /// `read_frame`'s line buffer, reused across events.
+    frame: Vec<u8>,
     pending: VecDeque<Response>,
     next_id: u64,
 }
@@ -62,10 +65,14 @@ impl Client {
     /// Connect to a running server.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // Nagle off, so pipelined submits never wait on the server's
+        // ACKs; `send` already writes one whole frame per flush.
+        stream.set_nodelay(true)?;
         let write_half = stream.try_clone()?;
         Ok(Client {
             writer: BufWriter::new(write_half),
             reader: BufReader::new(stream),
+            frame: Vec::new(),
             pending: VecDeque::new(),
             next_id: 0,
         })
@@ -107,20 +114,28 @@ impl Client {
     /// buffered until a *matching* wait, or the loop would pop and
     /// re-buffer the same event forever.
     fn read_event(&mut self) -> Result<Response, ClientError> {
-        let mut line = String::new();
         loop {
-            line.clear();
-            let n = self.reader.read_line(&mut line)?;
-            if n == 0 {
-                return Err(ClientError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                )));
-            }
+            // Uncapped: the server is the trusted end, and a valid
+            // result frame grows with the plan's batch count.
+            let line = match read_frame(&mut self.reader, &mut self.frame, usize::MAX) {
+                Ok(Some(line)) => line,
+                Ok(None) => {
+                    return Err(ClientError::Io(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        "server closed the connection",
+                    )))
+                }
+                Err(FrameError::Io(e)) => return Err(ClientError::Io(e)),
+                Err(e) => {
+                    return Err(ClientError::Proto(ProtoError::Corrupt {
+                        detail: e.to_string(),
+                    }))
+                }
+            };
             if line.trim().is_empty() {
                 continue;
             }
-            return Response::parse(line.trim_end()).map_err(ClientError::Proto);
+            return Response::parse(line).map_err(ClientError::Proto);
         }
     }
 

@@ -15,7 +15,9 @@
 //!   pause/drain control, and `Arc<Problem>`/`XsContext` sharing
 //!   across jobs.
 //! - [`protocol`]: the newline-delimited JSON line protocol; malformed
-//!   frames decode to typed errors, never panics.
+//!   frames decode to typed errors, never panics, and both ends read
+//!   lines through one UTF-8-checking [`protocol::read_frame`], capped
+//!   on the server's request reads.
 //! - [`server`] / [`client`]: the `std::net` TCP front end and the
 //!   blocking client used by the tests, the load harness, and the
 //!   README example.

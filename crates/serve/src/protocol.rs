@@ -13,11 +13,16 @@
 //! garbage bytes, a well-formed object missing fields, an embedded
 //! plan that fails TOML validation — maps to a typed [`ProtoError`],
 //! mirroring the trend pipeline's `TrendError::Corrupt` discipline.
+//!
+//! Both ends cut lines off the socket with one reader, [`read_frame`]:
+//! a request frame is at most [`MAX_FRAME_BYTES`], and a frame that is
+//! not UTF-8 is a typed [`FrameError`], not a dead stream.
 
 use mcs_core::engine::RunPlan;
 use mcs_prof::value::{escape_json, JsonValue};
 
 use std::fmt;
+use std::io::{BufRead, Read};
 use std::sync::Arc;
 
 use crate::hash::{hash_hex, parse_hash_hex};
@@ -55,6 +60,75 @@ impl fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+/// The longest request frame the server reads, in bytes before the
+/// `\n` (a `\r` of a CRLF ending counts). Plan frames are ~0.3–1 KB,
+/// so only a hostile or broken client reaches it. The client reads the
+/// server's frames uncapped: a result frame grows ~38 B per batch and
+/// admission bounds no batch count, so a valid result can be larger.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// Why [`read_frame`] could not produce a line.
+#[derive(Debug)]
+pub enum FrameError {
+    /// The socket failed.
+    Io(std::io::Error),
+    /// No newline within `cap` bytes. The stream cannot be
+    /// resynchronised mid-frame, so the reader must hang up.
+    TooLong {
+        /// The cap the frame exceeded.
+        cap: usize,
+    },
+    /// The frame is not UTF-8. The stream is still in sync: the next
+    /// frame starts after this one's newline.
+    NotUtf8,
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameError::Io(e) => write!(f, "io: {e}"),
+            FrameError::TooLong { cap } => {
+                write!(
+                    f,
+                    "frame exceeds the {cap}-byte cap; closing the connection"
+                )
+            }
+            FrameError::NotUtf8 => write!(f, "frame is not valid UTF-8"),
+        }
+    }
+}
+
+/// Read one newline-terminated frame of at most `cap` bytes into `buf`
+/// and return it without its `\n` or `\r\n`. A final frame cut off by
+/// EOF is returned as is; a clean EOF is `Ok(None)`. Never buffers more
+/// than `cap + 1` bytes.
+pub fn read_frame<'b>(
+    r: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+    cap: usize,
+) -> Result<Option<&'b str>, FrameError> {
+    buf.clear();
+    let n = r
+        .by_ref()
+        .take((cap as u64).saturating_add(1))
+        .read_until(b'\n', buf)
+        .map_err(FrameError::Io)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > cap {
+        return Err(FrameError::TooLong { cap });
+    }
+    std::str::from_utf8(buf)
+        .map(Some)
+        .map_err(|_| FrameError::NotUtf8)
+}
 
 /// Submission priority class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -614,5 +688,84 @@ mod tests {
             }
             let _ = Request::parse(&line[..cut]);
         }
+    }
+
+    /// Every frame `read_frame` yields from `wire` under `cap`, until
+    /// EOF or the first error.
+    fn frames(wire: &[u8], cap: usize) -> (Vec<String>, Option<FrameError>) {
+        let mut r = wire;
+        let mut buf = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            match read_frame(&mut r, &mut buf, cap) {
+                Ok(Some(line)) => out.push(line.to_string()),
+                Ok(None) => return (out, None),
+                Err(e) => return (out, Some(e)),
+            }
+        }
+    }
+
+    #[test]
+    fn read_frame_accepts_exactly_the_cap_and_not_one_byte_more() {
+        let mut wire = vec![b'x'; MAX_FRAME_BYTES];
+        wire.push(b'\n');
+        let (lines, err) = frames(&wire, MAX_FRAME_BYTES);
+        assert_eq!(lines.len(), 1);
+        assert_eq!(lines[0].len(), MAX_FRAME_BYTES);
+        assert!(err.is_none());
+
+        let mut wire = vec![b'x'; MAX_FRAME_BYTES + 1];
+        wire.push(b'\n');
+        let (lines, err) = frames(&wire, MAX_FRAME_BYTES);
+        assert!(lines.is_empty());
+        assert!(
+            matches!(
+                err,
+                Some(FrameError::TooLong {
+                    cap: MAX_FRAME_BYTES
+                })
+            ),
+            "{err:?}"
+        );
+
+        // Uncapped, as the client reads the server's frames.
+        let (lines, err) = frames(&wire, usize::MAX);
+        assert_eq!(lines.len(), 1);
+        assert_eq!(lines[0].len(), MAX_FRAME_BYTES + 1);
+        assert!(err.is_none());
+    }
+
+    #[test]
+    fn read_frame_strips_crlf_and_lf() {
+        let (lines, err) = frames(b"a\r\nb\n\r\n\nc\rd\n", MAX_FRAME_BYTES);
+        assert_eq!(lines, ["a", "b", "", "", "c\rd"]);
+        assert!(err.is_none());
+    }
+
+    #[test]
+    fn read_frame_returns_a_partial_frame_at_eof_then_none() {
+        let (lines, err) = frames(b"{\"cmd\":\"stats\"}\n{\"cmd\":", MAX_FRAME_BYTES);
+        assert_eq!(lines, ["{\"cmd\":\"stats\"}", "{\"cmd\":"]);
+        assert!(err.is_none());
+        let (lines, err) = frames(b"", MAX_FRAME_BYTES);
+        assert!(lines.is_empty() && err.is_none(), "clean EOF is Ok(None)");
+    }
+
+    #[test]
+    fn read_frame_reports_non_utf8_and_stays_in_sync() {
+        let mut r: &[u8] = b"\xff\xfe\nok\n";
+        let mut buf = Vec::new();
+        assert!(matches!(
+            read_frame(&mut r, &mut buf, MAX_FRAME_BYTES),
+            Err(FrameError::NotUtf8)
+        ));
+        assert_eq!(
+            read_frame(&mut r, &mut buf, MAX_FRAME_BYTES).expect("next frame"),
+            Some("ok")
+        );
+        assert_eq!(
+            read_frame(&mut r, &mut buf, MAX_FRAME_BYTES).expect("eof"),
+            None
+        );
     }
 }

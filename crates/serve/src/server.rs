@@ -8,15 +8,19 @@
 //! progress observer, and the reader all send into it, so response
 //! lines never interleave mid-frame no matter how many jobs stream
 //! progress to one pipelined connection.
+//!
+//! Nagle is off (`TCP_NODELAY`). The writer flushes every frame, so a
+//! cache hit is two small segments, `Accepted` then `Result`; with
+//! Nagle on, the second waited ~40 ms for the peer's delayed ACK.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::protocol::{Request, Response};
+use crate::protocol::{read_frame, FrameError, Request, Response, MAX_FRAME_BYTES};
 use crate::scheduler::{Scheduler, ServeConfig, Subscriber};
 
 /// A running plan-execution service.
@@ -102,7 +106,8 @@ impl Drop for Server {
 }
 
 fn handle_connection(stream: TcpStream, scheduler: &Arc<Scheduler>) {
-    let Ok(write_half) = stream.try_clone() else {
+    // The write half shares the socket, so it shares TCP_NODELAY.
+    let Ok(write_half) = stream.set_nodelay(true).and_then(|()| stream.try_clone()) else {
         return;
     };
     let (tx, rx) = mpsc::channel::<Response>();
@@ -115,14 +120,32 @@ fn handle_connection(stream: TcpStream, scheduler: &Arc<Scheduler>) {
         }
     });
 
-    let reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
     let mut next_id: u64 = 0;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    loop {
+        let line = match read_frame(&mut reader, &mut buf, MAX_FRAME_BYTES) {
+            Ok(Some(line)) => line,
+            Ok(None) | Err(FrameError::Io(_)) => break,
+            Err(e @ FrameError::NotUtf8) => {
+                let _ = tx.send(Response::Error {
+                    detail: e.to_string(),
+                });
+                continue;
+            }
+            Err(e @ FrameError::TooLong { .. }) => {
+                // Report the cap, then hang up: there is no newline to
+                // resynchronise on.
+                let _ = tx.send(Response::Error {
+                    detail: e.to_string(),
+                });
+                break;
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
-        match Request::parse(&line) {
+        match Request::parse(line) {
             Err(e) => {
                 // Typed decode failure: report and keep the
                 // connection alive — one bad frame must not kill a

@@ -5,10 +5,13 @@
 //! a plan served from cache is `to_bits`-identical to the cold run
 //! and costs zero additional cross-section lookups.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use mcs::core::engine::{self, ModelSpec, PolicySpec, RunPlan, Serial};
+use mcs::serve::protocol::MAX_FRAME_BYTES;
 use mcs::serve::{Client, Priority, Request, Response, ServeConfig, ServedResult, Server, Source};
 
 fn tiny_plan(salt: u64) -> RunPlan {
@@ -26,6 +29,26 @@ fn test_server(cfg: ServeConfig) -> (Server, Client) {
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind ephemeral port");
     let client = Client::connect(server.local_addr()).expect("connect");
     (server, client)
+}
+
+/// A raw socket for speaking the wire format by hand (the `Client`
+/// never emits a malformed frame). Reads time out, so a server that
+/// stops answering fails the test instead of hanging it.
+fn raw_connection(server: &Server) -> (BufWriter<TcpStream>, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let writer = BufWriter::new(stream.try_clone().expect("clone"));
+    (writer, BufReader::new(stream))
+}
+
+/// The next response line off a raw socket.
+fn read_response(reader: &mut impl BufRead) -> Response {
+    let mut line = String::new();
+    let n = reader.read_line(&mut line).expect("read a response line");
+    assert!(n > 0, "server closed the connection");
+    Response::parse(line.trim_end()).expect("decode response")
 }
 
 #[test]
@@ -285,4 +308,176 @@ fn garbage_frame_gets_typed_error_and_connection_survives() {
         Ok(Response::Stats(_))
     ));
     server.shutdown();
+}
+
+#[test]
+fn cache_hits_do_not_wait_on_the_delayed_ack_timer() {
+    // A hit is two frames (Accepted, Result). With Nagle on, the second
+    // waits for the client's delayed ACK and every hit reads ~44 ms on
+    // loopback; the work itself is microseconds.
+    let (server, mut client) = test_server(ServeConfig::default());
+    let plan = tiny_plan(20);
+    let (source, _) = client.run(&plan, Priority::Normal).expect("cold run");
+    assert_eq!(source, Source::Run);
+
+    let mut hit_ms: Vec<f64> = (0..31)
+        .map(|_| {
+            let t = Instant::now();
+            let (source, _) = client.run(&plan, Priority::Normal).expect("hit");
+            assert_eq!(source, Source::Cache);
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    hit_ms.sort_by(f64::total_cmp);
+    let median = hit_ms[hit_ms.len() / 2];
+    assert!(
+        median < 10.0,
+        "median cache hit {median:.3} ms (sorted: {hit_ms:.3?})"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_pipelined_burst_is_answered_in_submission_order() {
+    const N: usize = 64;
+    let (server, mut client) = test_server(ServeConfig::default());
+    let plan = tiny_plan(21);
+    let (_, cold) = client.run(&plan, Priority::Normal).expect("cold run");
+
+    // N hits and a stats request in one write on a fresh connection.
+    let (mut writer, mut reader) = raw_connection(&server);
+    let submit = Request::Submit {
+        plan: Box::new(plan),
+        priority: Priority::Normal,
+        progress: false,
+    }
+    .to_line();
+    for _ in 0..N {
+        writeln!(writer, "{submit}").expect("write");
+    }
+    writeln!(writer, "{}", Request::Stats.to_line()).expect("write");
+    writer.flush().expect("flush");
+
+    let mut accepted = [false; N];
+    let mut next_result = 0;
+    for _ in 0..2 * N {
+        match read_response(&mut reader) {
+            Response::Accepted { id, source, .. } => {
+                assert_eq!(source, Source::Cache);
+                assert!(!accepted[id as usize], "id {id} accepted twice");
+                accepted[id as usize] = true;
+            }
+            Response::Result { id, source, result } => {
+                assert_eq!(id, next_result, "results arrive in id order");
+                assert!(accepted[id as usize], "Accepted precedes Result for {id}");
+                assert_eq!(source, Source::Cache);
+                assert_eq!(result, cold, "hit {id} is bit-identical to the cold run");
+                next_result += 1;
+            }
+            other => panic!("unexpected {other:?} inside the burst"),
+        }
+    }
+    match read_response(&mut reader) {
+        Response::Stats(s) => {
+            assert_eq!(s.cache_hits, N as u64);
+            assert_eq!(s.cold_runs, 1);
+        }
+        other => panic!("stats must come last, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_non_utf8_frame_gets_a_typed_error_and_the_connection_survives() {
+    let (server, _client) = test_server(ServeConfig::default());
+    let (mut writer, mut reader) = raw_connection(&server);
+
+    writer.write_all(b"\xff\xfe\n").expect("write");
+    writeln!(writer, "{}", Request::Stats.to_line()).expect("write");
+    writeln!(writer, "garbage").expect("write");
+    writer.flush().expect("flush");
+    assert!(matches!(read_response(&mut reader), Response::Error { .. }));
+    assert!(matches!(read_response(&mut reader), Response::Stats(_)));
+    assert!(matches!(read_response(&mut reader), Response::Error { .. }));
+
+    // Still open: the same connection answers the next request.
+    writeln!(writer, "{}", Request::Stats.to_line()).expect("write");
+    writer.flush().expect("flush");
+    assert!(matches!(read_response(&mut reader), Response::Stats(_)));
+    server.shutdown();
+}
+
+#[test]
+fn an_over_long_frame_gets_one_error_then_the_connection_closes() {
+    let (server, _client) = test_server(ServeConfig::default());
+    let (mut writer, mut reader) = raw_connection(&server);
+
+    // The server stops reading at the cap and hangs up, so this write
+    // may fail part-way with a reset; only the answer matters.
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+        let _ = writer.flush();
+    });
+    match read_response(&mut reader) {
+        Response::Error { detail } => assert!(
+            detail.contains(&MAX_FRAME_BYTES.to_string()),
+            "the error names the cap: {detail}"
+        ),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    // Then nothing but the close. Unread flood bytes make the server's
+    // close a reset rather than a FIN; either ends the stream.
+    let mut rest = Vec::new();
+    match reader.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "bytes after the error frame"),
+        Err(e) => assert_eq!(e.kind(), ErrorKind::ConnectionReset, "{e}"),
+    }
+    flood.join().expect("flood writer");
+
+    let mut fresh = Client::connect(server.local_addr()).expect("connect");
+    fresh.stats().expect("a fresh connection is served");
+    server.shutdown();
+}
+
+#[test]
+fn the_client_reads_a_result_frame_larger_than_the_request_cap() {
+    // A result frame grows ~38 B per batch and admission bounds no batch
+    // count, so a valid result can pass MAX_FRAME_BYTES; only request
+    // frames are capped. Running ~28k batches takes a minute, so a stub
+    // server answers the submission with such a frame instead.
+    const BATCHES: usize = 30_000;
+    let plan = tiny_plan(22);
+    let report = engine::run_with_problem(&plan.build_problem(), &plan, &mut Serial::new())
+        .into_eigenvalue();
+    let mut big = ServedResult::from_report(mcs::serve::plan_hash(&plan), &report);
+    big.batches = BATCHES as u64;
+    big.k_history_bits = (0..BATCHES as u64)
+        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .collect();
+    big.entropy_bits = big.k_history_bits.iter().map(|b| !b).collect();
+    let frame = Response::Result {
+        id: 0,
+        source: Source::Run,
+        result: Arc::new(big.clone()),
+    }
+    .to_line();
+    assert!(frame.len() > MAX_FRAME_BYTES, "{} B", frame.len());
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().expect("stub address");
+    let stub = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut request = String::new();
+        reader.read_line(&mut request).expect("read the submission");
+        let mut writer = BufWriter::new(stream);
+        writeln!(writer, "{frame}").expect("write the result");
+        writer.flush().expect("flush");
+    });
+
+    let mut client = Client::connect(addr).expect("connect");
+    let (source, result) = client.run(&plan, Priority::Normal).expect("large result");
+    assert_eq!(source, Source::Run);
+    assert_eq!(*result, big);
+    stub.join().expect("stub server");
 }
